@@ -41,7 +41,7 @@ func run(args []string) int {
 		exAS       = fs.String("exclude-as", "", "comma-separated ISD-AS identifiers to avoid")
 		exCountry  = fs.String("exclude-country", "", "comma-separated countries to avoid")
 		exOperator = fs.String("exclude-operator", "", "comma-separated operators to avoid")
-		top        = fs.Int("top", 3, "how many ranked candidates to print")
+		top        = fs.Int("top", 3, "how many ranked candidates to print (0 = all)")
 		setK       = fs.Int("set", 0, "select a disjointness-aware path SET of this size instead of a ranking (0 = off)")
 		seed       = fs.Int64("seed", 1, "simulation seed")
 	)
@@ -94,7 +94,7 @@ func run(args []string) int {
 		}
 		return 0
 	}
-	cands, err := engine.Select(context.Background(), serverID, req)
+	cands, err := engine.SelectTop(context.Background(), serverID, req, *top)
 	if err != nil {
 		return cliutil.Fatalf(os.Stderr, "pathselect", "%v", err)
 	}
@@ -102,11 +102,8 @@ func run(args []string) int {
 		fmt.Printf("no path to server %d satisfies the request\n", serverID)
 		return 1
 	}
-	fmt.Printf("%d candidate paths to server %d (objective: %s)\n", len(cands), serverID, obj)
+	fmt.Printf("top %d candidate paths to server %d (objective: %s)\n", len(cands), serverID, obj)
 	for i, c := range cands {
-		if i >= *top {
-			break
-		}
 		fmt.Printf("%d. %s\n", i+1, selection.Explain(c))
 		fmt.Printf("   sequence: %s\n", c.Sequence)
 	}

@@ -136,7 +136,7 @@ func newAxiomPool(t testing.TB, seed int64) *axiomPool {
 
 // engine builds a fresh Engine over the subset of the pool for which keep
 // returns true (nil keep = the whole pool).
-func (p *axiomPool) engine(t testing.TB, keep func(pathID string) bool) *Engine {
+func (p *axiomPool) engine(t testing.TB, keep func(pathID string) bool, opts ...Option) *Engine {
 	t.Helper()
 	db := docdb.MustOpen()
 	if err := measure.SeedServers(db, p.topo); err != nil {
@@ -156,7 +156,7 @@ func (p *axiomPool) engine(t testing.TB, keep func(pathID string) bool) *Engine 
 	if err := db.Collection(measure.ColStats).InsertMany(sd); err != nil {
 		t.Fatal(err)
 	}
-	return New(db, p.topo)
+	return New(db, p.topo, opts...)
 }
 
 func pathIDs(set PathSet) []string {
@@ -306,18 +306,26 @@ func TestAxiomGreedyMatchesBruteForce(t *testing.T) {
 		}
 		checked++
 		e := pool.engine(t, nil)
-		obj := axiomObjectives[seed%int64(len(axiomObjectives))]
-		sreq := SetRequest{Request: Request{Objective: obj}}.withDefaults()
-		for k := 1; k <= 3; k++ {
-			sreq.K = k
-			got, err := e.SelectSet(ctx, pool.sid, sreq)
+		for _, obj := range axiomObjectives {
+			sreq := SetRequest{Request: Request{Objective: obj}}.withDefaults()
+			best, err := e.Best(ctx, pool.sid, sreq.Request)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := bruteForceSet(t, e, pool.sid, sreq)
-			if !reflect.DeepEqual(pathIDs(got), want) {
-				t.Fatalf("seed %d K=%d: greedy %v != brute-force optimum %v",
-					seed, k, pathIDs(got), want)
+			for k := 1; k <= 3; k++ {
+				sreq.K = k
+				got, err := e.SelectSet(ctx, pool.sid, sreq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.Paths[0], best) {
+					t.Fatalf("seed %d %v K=%d: top path %+v is not Best %+v", seed, obj, k, got.Paths[0], best)
+				}
+				want := bruteForceSet(t, e, pool.sid, sreq)
+				if !reflect.DeepEqual(pathIDs(got), want) {
+					t.Fatalf("seed %d %v K=%d: greedy %v != brute-force optimum %v",
+						seed, obj, k, pathIDs(got), want)
+				}
 			}
 		}
 	}
@@ -343,7 +351,7 @@ func bruteForceSet(t *testing.T, e *Engine, sid int, req SetRequest) []string {
 	}
 	pool := make([]*oc, 0, len(aggs))
 	for _, agg := range aggs {
-		cand := agg.candidate()
+		cand := agg.candidate(0)
 		links, transit := overlapKeys(agg.hops) // independent of the cached copy
 		pool = append(pool, &oc{
 			id: cand.PathID, score: score(&cand, req.Objective),

@@ -55,3 +55,24 @@ func BenchmarkMultipathSelectSet(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMultipathSelectSetCands is BenchmarkServingSelectTop's twin:
+// SelectSet at 10³ and 5·10³ candidates on one topology, so the only
+// variable is the pool the greedy scans.
+func BenchmarkMultipathSelectSetCands(b *testing.B) {
+	for _, cands := range []int{1000, 5000} {
+		e, sid := candsEngine(b, cands)
+		ctx := context.Background()
+		for _, k := range []int{2, 4} {
+			b.Run(fmt.Sprintf("cands=%d/k=%d", cands, k), func(b *testing.B) {
+				req := SetRequest{K: k}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := e.SelectSet(ctx, sid, req); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

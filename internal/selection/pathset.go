@@ -111,120 +111,86 @@ type PathSet struct {
 // with ties broken toward the better base rank. Like Best, it returns an
 // error when no candidate satisfies the request.
 func (e *Engine) SelectSet(ctx context.Context, serverID int, req SetRequest) (PathSet, error) {
-	if err := ctx.Err(); err != nil {
-		return PathSet{}, fmt.Errorf("selection: select cancelled: %w", err)
-	}
-	req = req.withDefaults()
-	snap, err := e.snapshotFor(ctx)
+	aggs, err := e.aggregatesFor(ctx, serverID)
 	if err != nil {
 		return PathSet{}, err
 	}
-	aggs := snap.servers[serverID]
-	if len(aggs) == 0 {
-		return PathSet{}, fmt.Errorf("selection: no collected paths for server %d", serverID)
-	}
-	creq := compileRequest(req.Request)
-	cands := make([]Candidate, 0, len(aggs))
+	req = req.withDefaults()
+	creq := compileRequest(&req.Request)
+	// The greedy needs only each survivor's score and cached overlap keys;
+	// Candidates are built for the chosen K alone.
 	pool := make([]*pathAgg, 0, len(aggs))
+	scores := make([]float64, 0, len(aggs))
 	for _, agg := range aggs {
-		if agg.samples < creq.minSamples || !creq.passesHops(agg) {
-			continue
+		if sc, ok := creq.score(agg); ok {
+			pool = append(pool, agg)
+			scores = append(scores, sc)
 		}
-		cand := agg.candidate()
-		if !passesPerformance(&cand, &req.Request) {
-			continue
-		}
-		cand.Score = score(&cand, req.Objective)
-		cands = append(cands, cand)
-		pool = append(pool, agg)
 	}
-	if len(cands) == 0 {
+	if len(pool) == 0 {
 		return PathSet{}, fmt.Errorf("selection: no path to server %d satisfies the request", serverID)
 	}
-	order := rankByScore(cands)
-	chosen := greedySet(cands, pool, order, req)
-	return assembleSet(cands, pool, chosen), nil
-}
-
-// rankByScore returns candidate indexes sorted best (lowest score) first,
-// ties keeping input order — the same total order sortByScore applies in
-// Select, so cands[order[0]] is exactly Best.
-func rankByScore(cands []Candidate) []int32 {
-	order := make([]int32, len(cands))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int {
-		sa, sb := cands[a].Score, cands[b].Score
-		switch {
-		case sa < sb:
-			return -1
-		case sa > sb:
-			return 1
-		}
-		return int(a - b)
-	})
-	return order
+	return assembleSet(pool, scores, greedySet(pool, scores, req)), nil
 }
 
 // greedySet picks min(K, len) candidates by sequential argmin over the
-// marginal cost, returning their indexes into cands in selection order.
-// The argmin at each step is unique — the tie-break on rank is a total
-// order — so the result is deterministic for a given snapshot and request.
-func greedySet(cands []Candidate, pool []*pathAgg, order []int32, req SetRequest) []int32 {
-	k := min(req.K, len(cands))
-	norm := normScores(cands, order)
+// marginal cost, returning their indexes into pool in selection order.
+// Cost ties go to the better base rank — Select's total order: score, then
+// catalogue order (pool keeps it) — so the argmin at each step is unique,
+// the result is deterministic for a given snapshot and request, and the
+// first pick (no overlap yet, cost = normalized score) is exactly Best. No
+// sort is needed: rank only ever breaks ties between two candidates.
+func greedySet(pool []*pathAgg, scores []float64, req SetRequest) []int32 {
+	k := min(req.K, len(pool))
+	norm := normScores(scores)
 	usedLinks := make(map[uint64]struct{})
 	usedAS := make(map[uint64]struct{})
-	taken := make([]bool, len(cands))
+	taken := make([]bool, len(pool))
 	chosen := make([]int32, 0, k)
 	for len(chosen) < k {
-		bestRank := -1
-		bestCost := math.Inf(1)
-		for rank, ci := range order {
+		best, bestCost := -1, 0.0
+		for ci, agg := range pool {
 			if taken[ci] {
 				continue
 			}
 			cost := norm[ci] +
-				req.LinkPenalty*overlapFrac(pool[ci].links, usedLinks) +
-				req.ASPenalty*overlapFrac(pool[ci].transit, usedAS)
-			// Strictly-less keeps the lowest rank among cost ties: rank
-			// iterates best-first.
-			if cost < bestCost {
-				bestCost, bestRank = cost, rank
+				req.LinkPenalty*overlapFrac(agg.links, usedLinks) +
+				req.ASPenalty*overlapFrac(agg.transit, usedAS)
+			// ci ascends, so on a cost tie only a strictly better score
+			// outranks the incumbent.
+			if best < 0 || cost < bestCost || (cost == bestCost && scores[ci] < scores[best]) {
+				bestCost, best = cost, ci
 			}
 		}
-		ci := order[bestRank]
-		taken[ci] = true
-		chosen = append(chosen, ci)
-		markUsed(usedLinks, pool[ci].links)
-		markUsed(usedAS, pool[ci].transit)
+		taken[best] = true
+		chosen = append(chosen, int32(best))
+		markUsed(usedLinks, pool[best].links)
+		markUsed(usedAS, pool[best].transit)
 	}
 	return chosen
 }
 
-// normScores maps scores into [0,1] by min-max over the pool (order is the
-// score-sorted index vector, so min/max are its ends). Infinite scores —
-// paths that never answered under a latency objective — land at 2, beyond
-// any finite candidate but still selectable when nothing else is left. A
-// degenerate pool (all scores equal) normalizes to all zeros, leaving the
-// penalties alone to differentiate.
-func normScores(cands []Candidate, order []int32) []float64 {
-	lo := cands[order[0]].Score
+// normScores maps scores into [0,1] by min-max over the pool. Infinite
+// scores — paths that never answered under a latency objective — land at 2,
+// beyond any finite candidate but still selectable when nothing else is
+// left. A degenerate pool (all scores equal) normalizes to all zeros,
+// leaving the penalties alone to differentiate.
+func normScores(scores []float64) []float64 {
+	lo := slices.Min(scores)
 	hi := lo
-	for _, ci := range order[1:] {
-		if s := cands[ci].Score; !math.IsInf(s, 0) && s > hi {
+	for _, s := range scores {
+		if !math.IsInf(s, 0) && s > hi {
 			hi = s
 		}
 	}
-	out := make([]float64, len(cands))
+	out := make([]float64, len(scores))
 	span := hi - lo
-	for i, c := range cands {
+	for i, s := range scores {
 		switch {
-		case math.IsInf(c.Score, 0):
+		case math.IsInf(s, 0):
 			out[i] = 2
 		case span > 0:
-			out[i] = (c.Score - lo) / span
+			out[i] = (s - lo) / span
 		}
 	}
 	return out
@@ -253,13 +219,13 @@ func markUsed(used map[uint64]struct{}, keys []uint64) {
 // assembleSet materialises the PathSet and its disjointness accounting:
 // a traversal (one path using one link / interior AS) counts as shared
 // when at least one other chosen path uses the same key.
-func assembleSet(cands []Candidate, pool []*pathAgg, chosen []int32) PathSet {
+func assembleSet(pool []*pathAgg, scores []float64, chosen []int32) PathSet {
 	set := PathSet{Paths: make([]Candidate, 0, len(chosen))}
 	linkUses := make(map[uint64]int)
 	asUses := make(map[uint64]int)
 	totalLinks := 0
 	for _, ci := range chosen {
-		set.Paths = append(set.Paths, cands[ci])
+		set.Paths = append(set.Paths, pool[ci].candidate(scores[ci]))
 		for _, k := range pool[ci].links {
 			linkUses[k]++
 			totalLinks++

@@ -79,6 +79,33 @@ type craftedPath struct {
 	latency float64
 }
 
+// TestSelectSetCostTieGoesToBetterRank crafts an exact marginal-cost tie
+// between two candidates of different score: the greedy ranks nothing up
+// front, so its tie-break must itself reproduce Select's order (score, then
+// catalogue index) — here against catalogue order, which lists the worse-
+// scored candidate first.
+func TestSelectSetCostTieGoesToBetterRank(t *testing.T) {
+	t.Parallel()
+	e, sid := craftedWorld(t, []craftedPath{
+		{via: []int{1, 2}, latency: 10}, // A: best
+		{via: []int{3}, latency: 20},    // X: disjoint from A, norm (20-10)/(50-10) = 0.25
+		{via: []int{2, 1}, latency: 10}, // Y: ties A's score; A's interior reversed: no shared link, AS overlap 1 -> 0.25
+		{via: []int{4}, latency: 50},    // Z: anchors the normalization span
+	})
+	sreq := SetRequest{Request: Request{Objective: LowestLatency}, K: 2}.withDefaults()
+	set, err := e.SelectSet(context.Background(), sid, sreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{measure.PathID(sid, 0), measure.PathID(sid, 2)}
+	if got := pathIDs(set); !reflect.DeepEqual(got, want) {
+		t.Fatalf("cost tie at 0.25 between X (score 20) and Y (score 10): got %v, want [A Y]", got)
+	}
+	if oracle := bruteForceSet(t, e, sid, sreq); !reflect.DeepEqual(oracle, want) {
+		t.Fatalf("brute-force optimum %v, want [A Y]", oracle)
+	}
+}
+
 // TestAxiomDisjointnessPreference is the disjointness axiom on a crafted
 // pool: between two score-TIED candidates, the one sharing less with the
 // already-chosen set wins, even when the overlapping one ranks earlier.

@@ -153,14 +153,14 @@ type Option func(*Engine)
 // WithServerOwner restricts the engine's serving snapshot to destinations
 // for which owns returns true. Select for a non-owned destination reports
 // "no collected paths" — the caller (a shard router) must not send it
-// there. The uncached oracle path is unaffected.
+// there.
 func WithServerOwner(owns func(serverID int) bool) Option {
 	return func(e *Engine) { e.owns = owns }
 }
 
 // New returns an engine over the given database and topology. The stats
-// collection gets a hash index on path_id (per-path aggregation on full
-// rebuilds and in the uncached oracle) and an ordered index on
+// collection gets a hash index on path_id (per-path aggregation in the
+// tests' uncached oracle) and an ordered index on
 // timestamp_ms (incremental refresh folds only documents above the
 // snapshot's high-water mark); the paths collection gets a hash index on
 // server_id and an ordered index on path_index.
@@ -191,6 +191,70 @@ func (e *Engine) Counters() (rebuilds, folds, coalesced int64) {
 // read plus per-request filtering; when stale, one caller refreshes while
 // others are served the previous snapshot (bounded staleness, snapshot.go).
 func (e *Engine) Select(ctx context.Context, serverID int, req Request) ([]Candidate, error) {
+	return e.SelectTop(ctx, serverID, req, 0)
+}
+
+// SelectTop is Select bounded to the k best candidates (k <= 0: all). The
+// ranking is a total order — score, then catalogue order — so the result is
+// exactly the first k elements of the unbounded Select. Filtering and
+// scoring run over each aggregate's stack-allocated metrics; a Candidate is
+// built only for the paths returned (docs/SERVING.md).
+func (e *Engine) SelectTop(ctx context.Context, serverID int, req Request, k int) ([]Candidate, error) {
+	aggs, err := e.aggregatesFor(ctx, serverID)
+	if err != nil {
+		return nil, err
+	}
+	creq := compileRequest(&req)
+	if k <= 0 || k > len(aggs) {
+		k = len(aggs)
+	}
+	// best holds the k best seen so far; once full it is a max-heap under
+	// ranked.compare (worst kept entry at the root), so a destination with
+	// 10³ candidates costs 10³ compares and k Candidates, not 10³ Candidates.
+	best := make([]ranked, 0, k)
+	for i, agg := range aggs {
+		sc, ok := creq.score(agg)
+		if !ok {
+			continue
+		}
+		r := ranked{score: sc, idx: int32(i)}
+		switch {
+		case len(best) < k:
+			best = append(best, r)
+			if len(best) == k && k < len(aggs) {
+				for j := k/2 - 1; j >= 0; j-- {
+					siftDown(best, j)
+				}
+			}
+		case r.compare(best[0]) < 0:
+			best[0] = r
+			siftDown(best, 0)
+		}
+	}
+	slices.SortFunc(best, ranked.compare)
+	out := make([]Candidate, len(best))
+	for i, r := range best {
+		out[i] = aggs[r.idx].candidate(r.score)
+	}
+	return out, nil
+}
+
+// Best returns the single best candidate, or an error when no path
+// satisfies the request.
+func (e *Engine) Best(ctx context.Context, serverID int, req Request) (Candidate, error) {
+	cands, err := e.SelectTop(ctx, serverID, req, 1)
+	if err != nil {
+		return Candidate{}, err
+	}
+	if len(cands) == 0 {
+		return Candidate{}, fmt.Errorf("selection: no path to server %d satisfies the request", serverID)
+	}
+	return cands[0], nil
+}
+
+// aggregatesFor returns the destination's aggregates, in catalogue order,
+// from a current-or-bounded-stale serving snapshot.
+func (e *Engine) aggregatesFor(ctx context.Context, serverID int) ([]*pathAgg, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("selection: select cancelled: %w", err)
 	}
@@ -202,166 +266,44 @@ func (e *Engine) Select(ctx context.Context, serverID int, req Request) ([]Candi
 	if len(aggs) == 0 {
 		return nil, fmt.Errorf("selection: no collected paths for server %d", serverID)
 	}
-	creq := compileRequest(req)
-	// One allocation sized to the candidate count: at 10³–10⁴ candidates
-	// per destination the append-growth reallocations and the two
-	// reflective sort.SliceStable allocations dominated the profile.
-	out := make([]Candidate, 0, len(aggs))
-	for _, agg := range aggs {
-		if agg.samples < creq.minSamples || !creq.passesHops(agg) {
-			continue
-		}
-		cand := agg.candidate()
-		if !passesPerformance(&cand, &req) {
-			continue
-		}
-		cand.Score = score(&cand, req.Objective)
-		out = append(out, cand)
-	}
-	return sortByScore(out), nil
+	return aggs, nil
 }
 
-// sortByScore orders candidates best (lowest score) first, preserving input
-// order on ties. It sorts an index vector and applies the permutation once:
-// a Candidate is a 168-byte struct with six pointer-bearing fields, and
-// letting the sort move the structs themselves (the old sort.SliceStable)
-// spent ~70% of a 5000-candidate Select in element copies and their GC
-// write barriers.
-func sortByScore(cands []Candidate) []Candidate {
-	if len(cands) < 2 {
-		return cands
-	}
-	idx := make([]int32, len(cands))
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	slices.SortFunc(idx, func(a, b int32) int {
-		sa, sb := cands[a].Score, cands[b].Score
-		switch {
-		case sa < sb:
-			return -1
-		case sa > sb:
-			return 1
-		}
-		return int(a - b) // ties keep input order: stable without SortStableFunc
-	})
-	sorted := make([]Candidate, len(cands))
-	for i, j := range idx {
-		sorted[i] = cands[j]
-	}
-	return sorted
+// ranked is one filtered aggregate in a ranking: its score and its index in
+// the destination's catalogue order.
+type ranked struct {
+	score float64
+	idx   int32
 }
 
-// selectUncached is the pre-snapshot engine: it re-aggregates each path's
-// full stats history on every call. It is kept as the oracle the snapshot
-// path is verified against (snapshot_test.go) and as the baseline the
-// serving benchmarks measure the cache's speedup from.
-func (e *Engine) selectUncached(ctx context.Context, serverID int, req Request) ([]Candidate, error) {
-	creq := compileRequest(req)
-	pathDocs, err := measure.PathsForServer(e.db, serverID)
-	if err != nil {
-		return nil, err
+// compare is the ranking's total order: lowest score first, catalogue order
+// on ties (what a stable sort by score over the catalogue produces).
+func (a ranked) compare(b ranked) int {
+	switch {
+	case a.score < b.score:
+		return -1
+	case a.score > b.score:
+		return 1
 	}
-	if len(pathDocs) == 0 {
-		return nil, fmt.Errorf("selection: no collected paths for server %d", serverID)
-	}
-
-	out := make([]Candidate, 0, len(pathDocs))
-	for _, pd := range pathDocs {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("selection: select cancelled: %w", err)
-		}
-		cand, ok := e.aggregate(pd)
-		if !ok || cand.Samples < creq.minSamples {
-			continue
-		}
-		if !e.passesExclusions(&cand, &creq) {
-			continue
-		}
-		if !passesPerformance(&cand, &req) {
-			continue
-		}
-		cand.Score = score(&cand, req.Objective)
-		out = append(out, cand)
-	}
-	return sortByScore(out), nil
+	return int(a.idx - b.idx)
 }
 
-// Best returns the single best candidate, or an error when no path
-// satisfies the request.
-func (e *Engine) Best(ctx context.Context, serverID int, req Request) (Candidate, error) {
-	cands, err := e.Select(ctx, serverID, req)
-	if err != nil {
-		return Candidate{}, err
-	}
-	if len(cands) == 0 {
-		return Candidate{}, fmt.Errorf("selection: no path to server %d satisfies the request", serverID)
-	}
-	return cands[0], nil
-}
-
-// aggregate folds the paths_stats documents of one path into a candidate.
-// It streams them zero-copy with ForEach — only a handful of numeric fields
-// are read per document, so cloning each one would be pure overhead.
-func (e *Engine) aggregate(pd measure.PathDoc) (Candidate, bool) {
-	cand := Candidate{
-		PathID:   pd.ID,
-		ServerID: pd.ServerID,
-		Hops:     pd.Hops,
-		ISDs:     pd.ISDs,
-		Sequence: pd.Sequence,
-	}
-	var latSum, mdevSum, lossSum, upSum, downSum float64
-	var latN, mdevN, lossN, upN, downN int
-	cand.Samples = e.db.Collection(measure.ColStats).ForEach(docdb.Query{
-		Filter: docdb.Eq(measure.FPathID, pd.ID),
-	}, func(d docdb.Document) bool {
-		if v, ok := num(d[measure.FAvgLatency]); ok {
-			latSum += v
-			latN++
+// siftDown restores the max-heap property (worst-ranked at the root) below
+// position i.
+func siftDown(h []ranked, i int) {
+	for {
+		worst := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
+			if h[c].compare(h[worst]) > 0 {
+				worst = c
+			}
 		}
-		if v, ok := num(d[measure.FMdev]); ok {
-			mdevSum += v
-			mdevN++
+		if worst == i {
+			return
 		}
-		if v, ok := num(d[measure.FLoss]); ok {
-			lossSum += v
-			lossN++
-		}
-		if v, ok := num(d[measure.FBwUpMTU]); ok {
-			upSum += v
-			upN++
-		}
-		if v, ok := num(d[measure.FBwDownMTU]); ok {
-			downSum += v
-			downN++
-		}
-		return true
-	})
-	if cand.Samples == 0 {
-		return cand, false
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
 	}
-	if latN > 0 {
-		cand.AvgLatencyMs = latSum / float64(latN)
-	} else {
-		cand.AvgLatencyMs = math.Inf(1) // never answered: infinitely slow
-	}
-	if mdevN > 0 {
-		cand.JitterMs = mdevSum / float64(mdevN)
-	} else {
-		cand.JitterMs = math.Inf(1)
-	}
-	if lossN > 0 {
-		cand.AvgLossPct = lossSum / float64(lossN)
-	}
-	if upN > 0 {
-		cand.UpBps = upSum / float64(upN)
-	}
-	if downN > 0 {
-		cand.DownBps = downSum / float64(downN)
-	}
-	e.annotateGeo(&cand)
-	return cand, true
 }
 
 // annotateGeo fills the traversed countries/operators from the topology.
@@ -387,6 +329,9 @@ func (e *Engine) annotateGeo(c *Candidate) {
 // compiledRequest holds the request's exclusion lists compiled into hash
 // sets once per Select, instead of once per candidate.
 type compiledRequest struct {
+	// req is held by pointer: it carries four slice headers, and copying it
+	// per candidate showed up in the 5000-candidate Select profile.
+	req        *Request
 	minSamples int
 	badISD     map[string]bool
 	badAS      map[string]bool
@@ -394,8 +339,8 @@ type compiledRequest struct {
 	badOp      map[string]bool
 }
 
-func compileRequest(req Request) compiledRequest {
-	cr := compiledRequest{minSamples: req.MinSamples}
+func compileRequest(req *Request) compiledRequest {
+	cr := compiledRequest{req: req, minSamples: req.MinSamples}
 	if cr.minSamples == 0 {
 		cr.minSamples = 1
 	}
@@ -430,9 +375,11 @@ func compileRequest(req Request) compiledRequest {
 // aggregate using its precomputed hop metadata: no topology lookups, no
 // case-folding at request time.
 func (cr *compiledRequest) passesHops(a *pathAgg) bool {
-	for _, traversed := range a.id.ISDs {
-		if cr.badISD[traversed] {
-			return false
+	if len(cr.badISD) > 0 { // a probe of even a nil map is a call per ISD
+		for _, traversed := range a.id.ISDs {
+			if cr.badISD[traversed] {
+				return false
+			}
 		}
 	}
 	if len(cr.badAS) == 0 && len(cr.badCountry) == 0 && len(cr.badOp) == 0 {
@@ -450,72 +397,54 @@ func (cr *compiledRequest) passesHops(a *pathAgg) bool {
 	return true
 }
 
-// passesExclusions is passesHops for the uncached oracle: same filters,
-// resolved against the live topology instead of cached hop metadata.
-func (e *Engine) passesExclusions(c *Candidate, cr *compiledRequest) bool {
-	for _, traversed := range c.ISDs {
-		if cr.badISD[traversed] {
-			return false
-		}
+// score filters one aggregate and returns its ranking value (lower is
+// better); ok is false when the request rejects the path.
+func (cr *compiledRequest) score(a *pathAgg) (score float64, ok bool) {
+	if a.samples < cr.minSamples || !cr.passesHops(a) {
+		return 0, false
 	}
-	if len(cr.badAS) == 0 && len(cr.badCountry) == 0 && len(cr.badOp) == 0 {
-		return true
+	m := a.metrics()
+	if !m.passesPerformance(cr.req) {
+		return 0, false
 	}
-	for _, pred := range c.Sequence {
-		ia := addr.IA{ISD: pred.ISD, AS: pred.AS}
-		if cr.badAS[ia.String()] {
-			return false
-		}
-		as := e.topo.AS(ia)
-		if as == nil {
-			continue
-		}
-		if cr.badCountry[strings.ToLower(as.Site.Country)] || cr.badOp[strings.ToLower(as.Operator)] {
-			return false
-		}
-	}
-	return true
+	return m.score(cr.req.Objective), true
 }
 
-// passesPerformance applies the hard performance bounds. The request is
-// passed by pointer: it carries four slice headers, and copying it per
-// candidate showed up in the 5000-candidate Select profile.
-func passesPerformance(c *Candidate, req *Request) bool {
-	if req.MaxLatencyMs > 0 && !(c.AvgLatencyMs <= req.MaxLatencyMs) {
+// passesPerformance applies the hard performance bounds.
+func (m *metrics) passesPerformance(req *Request) bool {
+	if req.MaxLatencyMs > 0 && !(m.latencyMs <= req.MaxLatencyMs) {
 		return false
 	}
-	if req.MaxLossPct > 0 && c.AvgLossPct > req.MaxLossPct {
+	if req.MaxLossPct > 0 && m.lossPct > req.MaxLossPct {
 		return false
 	}
-	if req.MaxJitterMs > 0 && !(c.JitterMs <= req.MaxJitterMs) {
+	if req.MaxJitterMs > 0 && !(m.jitterMs <= req.MaxJitterMs) {
 		return false
 	}
-	if req.MinBandwidthBps > 0 {
-		if math.Min(c.UpBps, c.DownBps) < req.MinBandwidthBps {
-			return false
-		}
-	}
-	if req.MinUpBps > 0 && c.UpBps < req.MinUpBps {
+	if req.MinBandwidthBps > 0 && math.Min(m.upBps, m.downBps) < req.MinBandwidthBps {
 		return false
 	}
-	if req.MinDownBps > 0 && c.DownBps < req.MinDownBps {
+	if req.MinUpBps > 0 && m.upBps < req.MinUpBps {
+		return false
+	}
+	if req.MinDownBps > 0 && m.downBps < req.MinDownBps {
 		return false
 	}
 	return true
 }
 
-// score maps a candidate to its ranking value (lower is better).
-func score(c *Candidate, o Objective) float64 {
+// score maps the means to the objective's ranking value (lower is better).
+func (m *metrics) score(o Objective) float64 {
 	switch o {
 	case HighestBandwidth:
-		return -(c.UpBps + c.DownBps) / 2
+		return -(m.upBps + m.downBps) / 2
 	case LowestLoss:
 		// Loss first, latency as tie-breaker.
-		return c.AvgLossPct*1e6 + c.AvgLatencyMs
+		return m.lossPct*1e6 + m.latencyMs
 	case MostStable:
-		return c.JitterMs*1e3 + c.AvgLatencyMs
+		return m.jitterMs*1e3 + m.latencyMs
 	default: // LowestLatency
-		return c.AvgLatencyMs
+		return m.latencyMs
 	}
 }
 

@@ -160,6 +160,51 @@ func BenchmarkServingSelect(b *testing.B) {
 	}
 }
 
+// candsEngine serves one destination with cands synthetic candidate paths
+// over the 1000-AS generated topology, snapshot already built.
+func candsEngine(b *testing.B, cands int) (*Engine, int) {
+	b.Helper()
+	topo, err := topology.Generate(topology.GenerateSpec{
+		Seed: 1000, ISDs: 20, CoresPerISD: 2, NonCorePerISD: 48,
+		MaxChildren: 8, CoreDegree: 4,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	db := docdb.MustOpen()
+	sid := syntheticCatalogue(b, topo, db, cands, 3, 7)
+	e := New(db, topo)
+	if _, err := e.Select(context.Background(), sid, Request{}); err != nil {
+		b.Fatal(err)
+	}
+	return e, sid
+}
+
+// BenchmarkServingSelectTop is the request the front-end actually sends
+// (GET /api/paths?top=K) at the engine: k=5 is the UI's default page, k=1
+// is Best behind every intent, k=all the unbounded Select. Bytes per
+// operation must track k, not the candidate count.
+func BenchmarkServingSelectTop(b *testing.B) {
+	for _, cands := range []int{1000, 5000} {
+		e, sid := candsEngine(b, cands)
+		ctx := context.Background()
+		for _, k := range []int{1, 5, 0} {
+			name := fmt.Sprintf("cands=%d/k=%d", cands, k)
+			if k == 0 {
+				name = fmt.Sprintf("cands=%d/k=all", cands)
+			}
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := e.SelectTop(ctx, sid, Request{}, k); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkServingSelectCached(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("docs=%d", n), func(b *testing.B) {

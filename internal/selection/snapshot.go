@@ -21,7 +21,7 @@ package selection
 //
 // Correctness against the uncached engine is pinned by the randomized
 // oracle in snapshot_test.go: cached Select results are deep-equal to
-// selectUncached across interleavings of writes and reads.
+// selectUncached (oracle_test.go) across interleavings of writes and reads.
 
 import (
 	"context"
@@ -68,7 +68,8 @@ type hopMeta struct {
 	known    bool   // the AS exists in the topology
 }
 
-// fold accumulates one stats document, mirroring Engine.aggregate exactly.
+// fold accumulates one stats document, mirroring the uncached oracle's
+// per-path aggregation (oracle_test.go) exactly.
 func (a *pathAgg) fold(d docdb.Document) {
 	a.samples++
 	if v, ok := num(d[measure.FAvgLatency]); ok {
@@ -93,30 +94,44 @@ func (a *pathAgg) fold(d docdb.Document) {
 	}
 }
 
-// candidate materialises the aggregate, with the same arithmetic (and so
-// the same float results) as Engine.aggregate.
-func (a *pathAgg) candidate() Candidate {
-	c := a.id // identity + geo; slices are shared and must not be mutated
-	c.Samples = a.samples
-	if a.latN > 0 {
-		c.AvgLatencyMs = a.latSum / float64(a.latN)
-	} else {
-		c.AvgLatencyMs = math.Inf(1) // never answered: infinitely slow
+// metrics is the pointer-free request-time view of an aggregate: the sample
+// count and the five means. Filtering and ranking run over this value on the
+// stack; a Candidate is built only for the paths a request returns.
+type metrics struct {
+	samples                                      int
+	latencyMs, jitterMs, lossPct, upBps, downBps float64
+}
+
+// metrics derives the means, with the same arithmetic (and so the same
+// float results) as the uncached per-path aggregation.
+func (a *pathAgg) metrics() metrics {
+	m := metrics{samples: a.samples, latencyMs: math.Inf(1), jitterMs: math.Inf(1)}
+	if a.latN > 0 { // else never answered: infinitely slow
+		m.latencyMs = a.latSum / float64(a.latN)
 	}
 	if a.mdevN > 0 {
-		c.JitterMs = a.mdevSum / float64(a.mdevN)
-	} else {
-		c.JitterMs = math.Inf(1)
+		m.jitterMs = a.mdevSum / float64(a.mdevN)
 	}
 	if a.lossN > 0 {
-		c.AvgLossPct = a.lossSum / float64(a.lossN)
+		m.lossPct = a.lossSum / float64(a.lossN)
 	}
 	if a.upN > 0 {
-		c.UpBps = a.upSum / float64(a.upN)
+		m.upBps = a.upSum / float64(a.upN)
 	}
 	if a.downN > 0 {
-		c.DownBps = a.downSum / float64(a.downN)
+		m.downBps = a.downSum / float64(a.downN)
 	}
+	return m
+}
+
+// candidate materialises the aggregate with the score it was ranked under.
+func (a *pathAgg) candidate(score float64) Candidate {
+	m := a.metrics()
+	c := a.id // identity + geo; slices are shared and must not be mutated
+	c.Samples = m.samples
+	c.AvgLatencyMs, c.JitterMs, c.AvgLossPct = m.latencyMs, m.jitterMs, m.lossPct
+	c.UpBps, c.DownBps = m.upBps, m.downBps
+	c.Score = score
 	return c
 }
 

@@ -213,13 +213,19 @@ func randomRequest(r *rand.Rand, p exclusionPool) Request {
 		ExcludeCountries: pick(r, p.countries),
 		ExcludeOperators: pick(r, p.operators),
 	}
-	switch r.Intn(4) {
+	switch r.Intn(8) {
 	case 0:
 		req.MaxLatencyMs = 40 + r.Float64()*120
 	case 1:
 		req.MaxLossPct = r.Float64() * 15
 	case 2:
 		req.MinBandwidthBps = r.Float64() * 5e7
+	case 3:
+		req.MaxJitterMs = r.Float64() * 4
+	case 4:
+		req.MinUpBps = r.Float64() * 5e7
+	case 5:
+		req.MinDownBps = r.Float64() * 5e7
 	}
 	return req
 }
@@ -227,7 +233,8 @@ func randomRequest(r *rand.Rand, p exclusionPool) Request {
 // TestSnapshotOracleRandomized is the correctness oracle: across 1000
 // randomized interleavings of in-order writes, out-of-order backfills,
 // updates, deletes, and reads, the snapshot-served Select must be
-// deep-equal to the uncached engine recomputed from scratch.
+// deep-equal to the uncached engine recomputed from scratch, and a
+// SelectTop at a random k to the first k of it.
 func TestSnapshotOracleRandomized(t *testing.T) {
 	e, db, ids := collectedWorld(t, 7)
 	w := newStatsWriter(t, db, 7)
@@ -262,6 +269,20 @@ func TestSnapshotOracleRandomized(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("shape %d server %d req %+v:\ncached   %+v\nuncached %+v",
 				i, sid, req, got, want)
+		}
+		if werr != nil {
+			continue
+		}
+		// The bounded read the front-end sends: a prefix of the oracle's
+		// ranking, for a k drawn below, at and beyond the pool size.
+		k := 1 + r.Intn(len(want)+3)
+		top, err := e.SelectTop(ctx, sid, req, k)
+		if err != nil {
+			t.Fatalf("shape %d server %d k=%d: %v", i, sid, k, err)
+		}
+		if !reflect.DeepEqual(top, want[:min(k, len(want))]) {
+			t.Fatalf("shape %d server %d req %+v k=%d:\ntop-k    %+v\nuncached %+v",
+				i, sid, req, k, top, want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -147,5 +148,40 @@ func TestPathSetThroughCluster(t *testing.T) {
 	single := f.router(Config{Shards: 1})
 	if a := get(t, single, setPath, ""); !bytes.Equal(a.Body.Bytes(), first.Body.Bytes()) {
 		t.Error("sharded pathset answer differs from single replica")
+	}
+}
+
+// TestPathsTopThroughCluster: through a sharded tier with the response
+// cache on, the body of ?top=K — computed on the miss, replayed on the hit
+// — is byte-equal to the first K rows of the top-less body.
+func TestPathsTopThroughCluster(t *testing.T) {
+	f := setup(t, 77, 3)
+	tier := f.router(Config{Shards: 4, CacheEntries: 64})
+	for _, id := range f.serverIDs {
+		full := get(t, tier, fmt.Sprintf("/api/paths?server=%d", id), "")
+		if full.Code != http.StatusOK {
+			t.Fatalf("server %d: status %d", id, full.Code)
+		}
+		var rows []json.RawMessage
+		if err := json.Unmarshal(full.Body.Bytes(), &rows); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 2, 5, len(rows), len(rows) + 3} {
+			want, err := json.Marshal(rows[:min(k, len(rows))])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, '\n') // the encoder terminates a response
+			path := fmt.Sprintf("/api/paths?server=%d&top=%d", id, k)
+			for _, cache := range []string{"miss", "hit"} {
+				rec := get(t, tier, path, "")
+				if got := rec.Header().Get("X-Cache"); (got == "hit") != (cache == "hit") {
+					t.Errorf("%s: X-Cache %q on the %s request", path, got, cache)
+				}
+				if !bytes.Equal(rec.Body.Bytes(), want) {
+					t.Errorf("%s (%s): body is not the first %d rows of the full body", path, cache, k)
+				}
+			}
+		}
 	}
 }

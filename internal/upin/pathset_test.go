@@ -73,14 +73,14 @@ func TestServerPathSetErrors(t *testing.T) {
 		path     string
 		wantCode int
 	}{
-		{"/api/pathset", http.StatusBadRequest},                                // no server
-		{"/api/pathset?server=abc", http.StatusBadRequest},                     // non-numeric server
-		{"/api/pathset?server=0", http.StatusBadRequest},                       // server below 1
-		{"/api/pathset?server=999", http.StatusNotFound},                       // unknown server
-		{fmt.Sprintf("/api/pathset?server=%d&k=0", f.serverID), 400},           // k below 1
-		{fmt.Sprintf("/api/pathset?server=%d&k=-3", f.serverID), 400},          // negative k
-		{fmt.Sprintf("/api/pathset?server=%d&k=abc", f.serverID), 400},         // non-numeric k
-		{fmt.Sprintf("/api/pathset?server=%d&k=1.5", f.serverID), 400},         // fractional k
+		{"/api/pathset", http.StatusBadRequest},                                  // no server
+		{"/api/pathset?server=abc", http.StatusBadRequest},                       // non-numeric server
+		{"/api/pathset?server=0", http.StatusBadRequest},                         // server below 1
+		{"/api/pathset?server=999", http.StatusNotFound},                         // unknown server
+		{fmt.Sprintf("/api/pathset?server=%d&k=0", f.serverID), 400},             // k below 1
+		{fmt.Sprintf("/api/pathset?server=%d&k=-3", f.serverID), 400},            // negative k
+		{fmt.Sprintf("/api/pathset?server=%d&k=abc", f.serverID), 400},           // non-numeric k
+		{fmt.Sprintf("/api/pathset?server=%d&k=1.5", f.serverID), 400},           // fractional k
 		{fmt.Sprintf("/api/pathset?server=%d&k=999", f.serverID), http.StatusOK}, // k > pool clamps
 	}
 	for _, c := range cases {

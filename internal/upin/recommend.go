@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/upin/scionpath/internal/selection"
@@ -65,22 +65,35 @@ func Recommend(ctx context.Context, engine *selection.Engine, intent Intent, w W
 	if total == 0 {
 		return nil, fmt.Errorf("upin: all weights are zero")
 	}
-	recs := make([]Recommendation, 0, len(cands))
-	for _, c := range cands {
+	// Score everything, rank an index vector, and build a Recommendation —
+	// its Reason is a Sprintf and a Join — only for the topK returned.
+	scores := make([]float64, len(cands))
+	order := make([]int32, len(cands))
+	for i, c := range cands {
 		// Each normalised value is "badness" in [0,1]; score = 1 - weighted badness.
 		bad := (w.Latency*latN(c.AvgLatencyMs) +
 			w.Jitter*jitN(c.JitterMs) +
 			w.Loss*lossN(c.AvgLossPct) +
 			w.Bandwidth*bwN(-(c.UpBps+c.DownBps))) / total
-		recs = append(recs, Recommendation{
-			Candidate: c,
-			Score:     1 - bad,
-			Reason:    reason(c, w),
-		})
+		scores[i] = 1 - bad
+		order[i] = int32(i)
 	}
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Score > recs[j].Score })
-	if topK > 0 && len(recs) > topK {
-		recs = recs[:topK]
+	// Highest score first; ties keep Select order (a stable sort).
+	slices.SortFunc(order, func(a, b int32) int {
+		switch {
+		case scores[a] > scores[b]:
+			return -1
+		case scores[a] < scores[b]:
+			return 1
+		}
+		return int(a - b)
+	})
+	if topK > 0 && len(order) > topK {
+		order = order[:topK]
+	}
+	recs := make([]Recommendation, len(order))
+	for i, ci := range order {
+		recs[i] = Recommendation{Candidate: cands[ci], Score: scores[ci], Reason: reason(cands[ci], w)}
 	}
 	return recs, nil
 }

@@ -224,28 +224,26 @@ func (s *Server) handleNodes(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.Atoi(r.URL.Query().Get("server"))
+	q := r.URL.Query() // parsed once: each call re-parses the raw query
+	id, err := strconv.Atoi(q.Get("server"))
 	if err != nil || id < 1 {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("missing or invalid ?server=<id>"))
 		return
 	}
 	top := 0 // 0 = all candidates
-	if v := r.URL.Query().Get("top"); v != "" {
+	if v := q.Get("top"); v != "" {
 		top, err = strconv.Atoi(v)
 		if err != nil || top < 1 {
 			s.writeError(w, http.StatusBadRequest, fmt.Errorf("invalid ?top=%q: want a positive integer", v))
 			return
 		}
 	}
-	cands, err := s.engine.Select(r.Context(), id, selection.Request{})
+	// top=K is a prefix of the full best-first ranking: the engine ranks
+	// over its aggregates and builds only the K candidates served.
+	cands, err := s.engine.SelectTop(r.Context(), id, selection.Request{}, top)
 	if err != nil {
 		s.writeError(w, http.StatusNotFound, err)
 		return
-	}
-	// Candidates arrive best-first; top=K keeps the response body small on
-	// destinations with thousands of paths without changing what is served.
-	if top > 0 && top < len(cands) {
-		cands = cands[:top]
 	}
 	s.writeJSON(w, http.StatusOK, candidatesJSON(cands))
 }
@@ -262,13 +260,14 @@ type pathSetJSON struct {
 }
 
 func (s *Server) handlePathSet(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.Atoi(r.URL.Query().Get("server"))
+	q := r.URL.Query()
+	id, err := strconv.Atoi(q.Get("server"))
 	if err != nil || id < 1 {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("missing or invalid ?server=<id>"))
 		return
 	}
 	k := 0 // 0 = engine default (2)
-	if v := r.URL.Query().Get("k"); v != "" {
+	if v := q.Get("k"); v != "" {
 		k, err = strconv.Atoi(v)
 		if err != nil || k < 1 {
 			s.writeError(w, http.StatusBadRequest, fmt.Errorf("invalid ?k=%q: want a positive integer", v))
@@ -276,7 +275,7 @@ func (s *Server) handlePathSet(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	req := selection.SetRequest{K: k}
-	if v := r.URL.Query().Get("objective"); v != "" {
+	if v := q.Get("objective"); v != "" {
 		obj, err := selection.ParseObjective(v)
 		if err != nil {
 			s.writeError(w, http.StatusBadRequest, err)

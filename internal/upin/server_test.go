@@ -3,6 +3,7 @@ package upin
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -217,5 +218,50 @@ func TestServerMethodRouting(t *testing.T) {
 	rec2, _ := get(t, srv, "/api/unknown")
 	if rec2.Code != http.StatusNotFound {
 		t.Errorf("unknown route -> %d", rec2.Code)
+	}
+}
+
+// firstK re-encodes the first k elements of a JSON array body the way
+// writeJSON encodes a response (compact, newline-terminated).
+func firstK(t *testing.T, body []byte, k int) []byte {
+	t.Helper()
+	var rows []json.RawMessage
+	if err := json.Unmarshal(body, &rows); err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(rows[:min(k, len(rows))])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(b, '\n')
+}
+
+// TestServerPathsTopIsPrefix: ?top=K is served by a bounded selection, and
+// its body is byte-equal to the first K rows of the unbounded response.
+func TestServerPathsTopIsPrefix(t *testing.T) {
+	srv, f := testServer(t, 63)
+	rec, full := get(t, srv, fmt.Sprintf("/api/paths?server=%d", f.serverID))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, full)
+	}
+	n := bytes.Count(firstK(t, full, 1<<30), []byte(`"path_id"`))
+	if n < 3 {
+		t.Fatalf("fixture serves %d candidates, want several", n)
+	}
+	for _, k := range []int{1, 2, 5, n - 1, n, n + 3} {
+		rec, body := get(t, srv, fmt.Sprintf("/api/paths?server=%d&top=%d", f.serverID, k))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("top=%d: status %d: %s", k, rec.Code, body)
+		}
+		if want := firstK(t, full, k); !bytes.Equal(body, want) {
+			t.Errorf("top=%d body is not the first %d rows of the full body:\n%s\n%s", k, k, body, want)
+		}
+	}
+	for _, bad := range []string{"0", "-2", "abc", "1.5"} {
+		rec, body := get(t, srv, fmt.Sprintf("/api/paths?server=%d&top=%s", f.serverID, bad))
+		want := fmt.Sprintf("{\"error\":\"invalid ?top=\\\"%s\\\": want a positive integer\"}\n", bad)
+		if rec.Code != http.StatusBadRequest || string(body) != want {
+			t.Errorf("top=%s -> %d %s, want 400 %s", bad, rec.Code, body, want)
+		}
 	}
 }

@@ -2,6 +2,8 @@ package upin
 
 import (
 	"context"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -287,5 +289,45 @@ func TestRecommendTopK(t *testing.T) {
 	}
 	if len(recs) != 2 {
 		t.Errorf("topK ignored: %d", len(recs))
+	}
+}
+
+// TestRecommendMatchesFullRanking pins the lazy top-K build to the
+// straightforward one: a Recommendation (reason included) for every
+// candidate, a stable sort by score descending, then the first topK.
+func TestRecommendMatchesFullRanking(t *testing.T) {
+	f := setup(t, 10)
+	ctx := context.Background()
+	intent := Intent{ServerID: f.serverID}
+	cands, err := f.engine.Select(ctx, intent.ServerID, intent.Request)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []Weights{ProfileVoIP, ProfileStreaming, ProfileBulk, ProfileBrowsing, {Loss: 1}} {
+		latN := normalizer(cands, func(c selection.Candidate) float64 { return c.AvgLatencyMs })
+		jitN := normalizer(cands, func(c selection.Candidate) float64 { return c.JitterMs })
+		lossN := normalizer(cands, func(c selection.Candidate) float64 { return c.AvgLossPct })
+		bwN := normalizer(cands, func(c selection.Candidate) float64 { return -(c.UpBps + c.DownBps) })
+		total := w.Latency + w.Jitter + w.Loss + w.Bandwidth
+		all := make([]Recommendation, 0, len(cands))
+		for _, c := range cands {
+			bad := (w.Latency*latN(c.AvgLatencyMs) + w.Jitter*jitN(c.JitterMs) +
+				w.Loss*lossN(c.AvgLossPct) + w.Bandwidth*bwN(-(c.UpBps+c.DownBps))) / total
+			all = append(all, Recommendation{Candidate: c, Score: 1 - bad, Reason: reason(c, w)})
+		}
+		sort.SliceStable(all, func(i, j int) bool { return all[i].Score > all[j].Score })
+		for _, topK := range []int{0, 1, 3, len(cands), len(cands) + 2} {
+			want := all
+			if topK > 0 && topK < len(all) {
+				want = all[:topK]
+			}
+			got, err := Recommend(ctx, f.engine, intent, w, topK)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("weights %+v topK=%d:\ngot  %+v\nwant %+v", w, topK, got, want)
+			}
+		}
 	}
 }

@@ -2,7 +2,7 @@
 # verify.sh — the full verification gate, run from the repo root.
 #
 # Tier 1: build + tests (must stay green on every PR).
-# Tier 2: go vet, scionlint (the module's own static-analysis pass, see
+# Tier 2: go vet, gofmt, scionlint (the module's own static-analysis pass, see
 #         docs/STATIC_ANALYSIS.md), the race detector over the
 #         concurrency-heavy packages (including a chaos-harness subset,
 #         see docs/CHAOS.md), fuzzer smoke runs, and a coverage floor
@@ -22,6 +22,14 @@ go build ./...
 
 echo "== tier 2: go vet ./..."
 go vet ./...
+
+echo "== tier 2: gofmt -l . (must list nothing)"
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+	echo "gofmt gate FAILED, unformatted files:"
+	echo "$unformatted"
+	exit 1
+fi
 
 echo "== tier 2: scionlint ./... (baseline must be empty; timing shows loader speedup)"
 # Two runs against the checked-in (empty) baseline: sequential loader
