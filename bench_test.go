@@ -356,6 +356,47 @@ func BenchmarkCollectPaths(b *testing.B) {
 	}
 }
 
+// BenchmarkCollectPathsRepeat measures the collect stage a campaign re-runs
+// before every round, on a database that already holds every destination's
+// paths: the 1000-AS generated world of bench/'s world B (960 destinations,
+// ~30k stored paths), each destination's paths replaced in turn. The cold
+// collect that populates the database is set-up, not measured. Recorded in
+// BENCH_docdb.json (docs/CAMPAIGN.md "The collect stage").
+func BenchmarkCollectPathsRepeat(b *testing.B) {
+	spec := pathDiscSpec(1000)
+	spec.MultiParentProb = 0.6
+	topo, err := topology.Generate(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	local := topo.Servers()[0].IA
+	daemon, err := sciond.New(topo, simnet.New(topo, simnet.Options{Seed: 1}), local)
+	if err != nil {
+		b.Fatal(err)
+	}
+	db := docdb.MustOpen()
+	if err := measure.SeedServers(db, topo); err != nil {
+		b.Fatal(err)
+	}
+	opts := measure.CollectOpts{MaxPaths: 200, HopSlack: 3} // bench/'s campaign options
+	cold, err := measure.CollectPaths(context.Background(), db, daemon, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := measure.CollectPaths(context.Background(), db, daemon, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.PathsRetained != cold.PathsRetained || rep.PathsDeleted != 0 {
+			b.Fatalf("repeat collect retained %d deleted %d, cold retained %d",
+				rep.PathsRetained, rep.PathsDeleted, cold.PathsRetained)
+		}
+	}
+	b.ReportMetric(float64(cold.PathsRetained), "paths")
+}
+
 // BenchmarkFullCampaign runs the complete §6 data-gathering campaign over
 // the 5-destination focus subset (the "~3000 samples" table row).
 func BenchmarkFullCampaign(b *testing.B) {

@@ -40,20 +40,38 @@ func (ia IA) Zero() bool { return ia.ISD == 0 && ia.AS == 0 }
 
 // String renders the ISD-AS pair in canonical SCION notation.
 func (ia IA) String() string {
-	return fmt.Sprintf("%d-%s", ia.ISD, ia.AS)
+	return string(ia.AppendTo(make([]byte, 0, 24)))
+}
+
+// AppendTo appends the String rendering to b, so callers that render many
+// identifiers (a path's hop predicates) fill one buffer.
+func (ia IA) AppendTo(b []byte) []byte {
+	b = strconv.AppendUint(b, uint64(ia.ISD), 10)
+	b = append(b, '-')
+	return ia.AS.AppendTo(b)
 }
 
 // String renders the AS number: decimal when it fits in 32 bits, otherwise
 // three colon-separated 16-bit hexadecimal groups.
 func (a AS) String() string {
+	return string(a.AppendTo(make([]byte, 0, 16)))
+}
+
+// AppendTo appends the String rendering to b.
+func (a AS) AppendTo(b []byte) []byte {
 	if a > MaxAS {
-		return fmt.Sprintf("<invalid AS %d>", uint64(a))
+		b = append(b, "<invalid AS "...)
+		b = strconv.AppendUint(b, uint64(a), 10)
+		return append(b, '>')
 	}
 	if a < asDecimalMax {
-		return strconv.FormatUint(uint64(a), 10)
+		return strconv.AppendUint(b, uint64(a), 10)
 	}
-	return fmt.Sprintf("%x:%x:%x",
-		uint16(a>>32), uint16(a>>16), uint16(a))
+	b = strconv.AppendUint(b, uint64(uint16(a>>32)), 16)
+	b = append(b, ':')
+	b = strconv.AppendUint(b, uint64(uint16(a>>16)), 16)
+	b = append(b, ':')
+	return strconv.AppendUint(b, uint64(uint16(a)), 16)
 }
 
 // ParseAS parses an AS number in either decimal or colon notation.

@@ -1,6 +1,7 @@
 package addr
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -200,4 +201,43 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(b[i:])
+}
+
+// fmtIA and fmtAS are the fmt renderings String had before it moved to
+// strconv appends; every stored hop_predicates string and fingerprint was
+// produced by them, so the append forms must stay byte-identical.
+func fmtAS(a AS) string {
+	if a > MaxAS {
+		return fmt.Sprintf("<invalid AS %d>", uint64(a))
+	}
+	if a < asDecimalMax {
+		return fmt.Sprintf("%d", uint64(a))
+	}
+	return fmt.Sprintf("%x:%x:%x", uint16(a>>32), uint16(a>>16), uint16(a))
+}
+
+func fmtIA(ia IA) string { return fmt.Sprintf("%d-%s", ia.ISD, fmtAS(ia.AS)) }
+
+func TestStringMatchesFmtRendering(t *testing.T) {
+	ases := []AS{
+		0, 1, 9, 10, 64512, asDecimalMax - 1, // decimal form
+		asDecimalMax, 0x1_0000_0000, 0xffaa_0000_1002, 0xffaa_0001_0001, // colon form
+		0x0001_0000_0000, 0x00ab_00cd_00ef, 0xffff_ffff_ffff, MaxAS, // zero groups, no padding
+		MaxAS + 1, 1 << 60, // invalid marker
+	}
+	for _, as := range ases {
+		if got, want := as.String(), fmtAS(as); got != want {
+			t.Errorf("AS(%#x).String() = %q, fmt renders %q", uint64(as), got, want)
+		}
+		for _, isd := range []ISD{0, 1, 16, 19, 65535} {
+			ia := IA{ISD: isd, AS: as}
+			if got, want := ia.String(), fmtIA(ia); got != want {
+				t.Errorf("%#v.String() = %q, fmt renders %q", ia, got, want)
+			}
+			// AppendTo extends, never overwrites.
+			if got := string(ia.AppendTo([]byte("x "))); got != "x "+fmtIA(ia) {
+				t.Errorf("%#v.AppendTo(\"x \") = %q", ia, got)
+			}
+		}
+	}
 }

@@ -366,3 +366,104 @@ func BenchmarkDocDBAggregate(b *testing.B) {
 		})
 	}
 }
+
+// deleteBenchDocs is the paths collection a repeat collect works on: n
+// documents stored destination by destination, match consecutive ones per
+// server_id.
+func deleteBenchDocs(n, match int) []Document {
+	docs := make([]Document, n)
+	for i := range docs {
+		docs[i] = Document{
+			"_id":            fmt.Sprintf("%d_%d", i/match, i%match),
+			"server_id":      i / match,
+			"path_index":     i % match,
+			"hops":           i%5 + 4,
+			"hop_predicates": "17-ffaa:1:1#1 17-ffaa:0:1107#3,2 16-ffaa:0:1002#4",
+		}
+	}
+	return docs
+}
+
+// BenchmarkDocDBDelete measures one destination's Delete(Eq(server_id)) on
+// a 30 000-document paths collection — with the hash index the collect
+// stage ensures, and as the scan it was before. The removed documents go
+// back in (untimed) at the tail, as a repeat collect re-inserts them, so
+// tombstones accumulate and the amortised compaction is part of the number.
+func BenchmarkDocDBDelete(b *testing.B) {
+	const n, match = 30000, 32
+	for _, indexed := range []bool{true, false} {
+		plan := "scan"
+		if indexed {
+			plan = "indexed"
+		}
+		b.Run(fmt.Sprintf("docs=%d/match=%d/%s", n, match, plan), func(b *testing.B) {
+			docs := deleteBenchDocs(n, match)
+			col := MustOpen().Collection("paths")
+			if indexed {
+				col.EnsureIndex("server_id")
+			}
+			insertBatches(b, col, docs)
+			groups := n / match
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g := i % groups
+				if got := col.Delete(Eq("server_id", g)); got != match {
+					b.Fatalf("deleted %d documents, want %d", got, match)
+				}
+				b.StopTimer()
+				if err := col.InsertMany(docs[g*match : (g+1)*match]); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
+	}
+}
+
+// BenchmarkDocDBReplayDeletes measures re-opening a database whose log
+// holds one full repeat paths collection: 30 000 documents inserted, then
+// every destination's documents deleted and inserted again — 30 000 delete
+// records for replay to apply.
+func BenchmarkDocDBReplayDeletes(b *testing.B) {
+	const n, match = 30000, 32
+	for _, backend := range benchBackends {
+		b.Run(fmt.Sprintf("backend=%s", backend), func(b *testing.B) {
+			path := filepath.Join(b.TempDir(), "bench.db")
+			db, err := Open(WithPath(path), WithBackend(backend))
+			if err != nil {
+				b.Fatal(err)
+			}
+			docs := deleteBenchDocs(n, match)
+			col := db.Collection("paths")
+			col.EnsureIndex("server_id")
+			insertBatches(b, col, docs)
+			for lo := 0; lo < n; lo += match {
+				hi := min(lo+match, n)
+				col.Delete(Eq("server_id", lo/match))
+				if err := col.InsertMany(docs[lo:hi]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := db.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				db, err := Open(WithPath(path), WithBackend(backend))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if db.Collection("paths").Count() != n {
+					b.Fatal("short replay")
+				}
+				b.StopTimer()
+				if err := db.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
+	}
+}

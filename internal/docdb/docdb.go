@@ -189,8 +189,12 @@ type Collection struct {
 	gen        atomic.Int64
 	rewriteGen atomic.Int64
 
-	mu      sync.RWMutex
+	mu sync.RWMutex
+	// docs is the storage order. A removed document leaves a nil tombstone
+	// in its slot (dead counts them) until compactLocked squeezes the slice,
+	// so a delete never renumbers the survivors; byID maps only live ids.
 	docs    []Document
+	dead    int
 	byID    map[string]int
 	seq     int64 // auto-id counter
 	indexes map[string]*index
@@ -232,7 +236,7 @@ func (c *Collection) bumpLocked(destructive bool) {
 func (c *Collection) Count() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.docs)
+	return len(c.docs) - c.dead
 }
 
 // Insert stores one document. Documents without an "_id" get a generated
@@ -382,7 +386,9 @@ func (c *Collection) Get(id string) Document {
 }
 
 // Delete removes documents matching the filter and returns how many. A nil
-// filter deletes nothing.
+// filter deletes nothing. The cost is proportional to the candidates the
+// plan yields plus the documents removed, not to the collection: removed
+// slots become tombstones (see compactLocked).
 func (c *Collection) Delete(f Filter) int {
 	c.db.mu.RLock()
 	defer c.db.mu.RUnlock()
@@ -392,44 +398,21 @@ func (c *Collection) Delete(f Filter) int {
 	if f == nil {
 		return 0
 	}
-	// Plan: narrow to index candidates when possible (candidates are a
-	// superset of matches, so documents outside them need no check).
-	match := compileMatch(f)
-	src := unwrapFilter(f)
-	doomed := make(map[string]bool)
-	cands, planned := c.lookupIndexedLocked(src)
-	if !planned {
-		cands, planned = c.lookupRangeLocked(src)
-	}
-	if !planned {
-		cands = c.docs
-	}
-	for _, d := range cands {
-		if match(d) {
-			doomed[d.ID()] = true
-		}
-	}
-	if len(doomed) == 0 {
-		// Nothing matched: leave docs and the byID map untouched instead
-		// of rebuilding them.
+	positions := c.matchPositionsLocked(f)
+	if len(positions) == 0 {
 		return 0
 	}
-	kept := c.docs[:0]
-	for _, d := range c.docs {
-		if doomed[d.ID()] {
-			c.indexRemoveLocked(d)
-			if b != nil {
-				b.Append(Record{Op: "delete", Collection: c.name, ID: d.ID()})
-			}
-			continue
+	removed := make([]Document, len(positions))
+	for n, i := range positions {
+		d := c.docs[i]
+		removed[n] = d
+		if b != nil {
+			b.Append(Record{Op: "delete", Collection: c.name, ID: d.ID()})
 		}
-		kept = append(kept, d)
+		c.tombstoneLocked(i)
 	}
-	c.docs = kept
-	c.byID = make(map[string]int, len(c.docs))
-	for i, d := range c.docs {
-		c.byID[d.ID()] = i
-	}
+	c.indexRemoveManyLocked(removed)
+	c.compactLocked()
 	c.maybeMergeSortedLocked()
 	c.bumpLocked(true)
 	if b != nil {
@@ -437,7 +420,74 @@ func (c *Collection) Delete(f Filter) int {
 		// signature predates the backend split).
 		_ = b.Commit()
 	}
-	return len(doomed)
+	return len(positions)
+}
+
+// matchPositionsLocked returns the storage positions of the documents
+// matching f, ascending — the order Update and Delete journal in. It plans
+// like collectLocked: index candidates are a superset of the matches and
+// come back in storage order, so only they are checked and resolved
+// through byID; without a usable index every live slot is.
+func (c *Collection) matchPositionsLocked(f Filter) []int {
+	match := compileMatch(f)
+	src := unwrapFilter(f)
+	cands, planned := c.lookupIndexedLocked(src)
+	if !planned {
+		cands, planned = c.lookupRangeLocked(src)
+	}
+	var positions []int
+	if planned {
+		for _, d := range cands {
+			if match(d) {
+				positions = append(positions, c.byID[d.ID()])
+			}
+		}
+		return positions
+	}
+	for i, d := range c.docs {
+		if d != nil && match(d) {
+			positions = append(positions, i)
+		}
+	}
+	return positions
+}
+
+// tombstoneLocked removes the document at position i from docs and byID
+// without moving any other document. Callers maintain the indexes and run
+// compactLocked once per operation.
+func (c *Collection) tombstoneLocked(i int) {
+	delete(c.byID, c.docs[i].ID())
+	c.docs[i] = nil
+	c.dead++
+}
+
+// compactLocked bounds what tombstones cost. Trailing tombstones are
+// trimmed at once; interior ones stay until they outnumber the live
+// documents, and then one pass squeezes the slice and renumbers byID in
+// place. A squeeze of n slots follows at least n/2 removals, so removal is
+// O(1) amortised per document, scans visit at most two slots per live
+// document, and the relative (storage) order of the survivors never
+// changes. The rule is a constant, like the sorted index's pendingMax.
+func (c *Collection) compactLocked() {
+	n := len(c.docs)
+	for n > 0 && c.docs[n-1] == nil {
+		n--
+	}
+	c.dead -= len(c.docs) - n
+	c.docs = c.docs[:n]
+	if c.dead <= n-c.dead {
+		return
+	}
+	kept := c.docs[:0]
+	for _, d := range c.docs {
+		if d != nil {
+			c.byID[d.ID()] = len(kept)
+			kept = append(kept, d)
+		}
+	}
+	clear(c.docs[len(kept):]) // drop the moved documents' old references
+	c.docs = kept
+	c.dead = 0
 }
 
 // Update replaces the non-_id fields of matching documents with the merge
@@ -449,26 +499,7 @@ func (c *Collection) Update(f Filter, set Document) int {
 	b := c.db.backend
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	match := compileMatch(f)
-	var positions []int
-	cands, planned := c.lookupIndexedLocked(unwrapFilter(f))
-	if !planned {
-		cands, planned = c.lookupRangeLocked(unwrapFilter(f))
-	}
-	if planned {
-		for _, d := range cands {
-			if match(d) {
-				positions = append(positions, c.byID[d.ID()])
-			}
-		}
-		sort.Ints(positions) // journal in document order, like a scan
-	} else {
-		for i, d := range c.docs {
-			if match(d) {
-				positions = append(positions, i)
-			}
-		}
-	}
+	positions := c.matchPositionsLocked(f)
 	for _, i := range positions {
 		d := c.docs[i]
 		c.indexRemoveLocked(d)
@@ -562,6 +593,8 @@ func (c *Collection) collectLocked(q Query) []Document {
 // shapeLocked filters candidates and applies sort, skip and limit. With a
 // sort and a limit it keeps a top-K heap of skip+limit items instead of
 // sorting every match; without a sort it stops scanning at skip+limit.
+// cands may be c.docs itself (the full-scan plan), so nil tombstones are
+// skipped.
 func (c *Collection) shapeLocked(cands []Document, q Query, match matchFn) []Document {
 	if q.SortBy == "" {
 		need := -1
@@ -570,7 +603,7 @@ func (c *Collection) shapeLocked(cands []Document, q Query, match matchFn) []Doc
 		}
 		var out []Document
 		for _, d := range cands {
-			if !match(d) {
+			if d == nil || !match(d) {
 				continue
 			}
 			out = append(out, d)
@@ -589,7 +622,7 @@ func (c *Collection) shapeLocked(cands []Document, q Query, match matchFn) []Doc
 	if k > 0 && k < len(cands)/2 {
 		h := topKHeap{k: k, desc: q.SortDesc}
 		for _, d := range cands {
-			if !match(d) {
+			if d == nil || !match(d) {
 				continue
 			}
 			v, ok := d.lookupFP(sfp)
@@ -605,7 +638,7 @@ func (c *Collection) shapeLocked(cands []Document, q Query, match matchFn) []Doc
 
 	items := make([]sortItem, 0, len(cands))
 	for _, d := range cands {
-		if !match(d) {
+		if d == nil || !match(d) {
 			continue
 		}
 		v, ok := d.lookupFP(sfp)

@@ -1,6 +1,8 @@
 package docdb
 
 import (
+	"fmt"
+	"path/filepath"
 	"testing"
 )
 
@@ -163,6 +165,125 @@ func FuzzCompileFilter(f *testing.F) {
 			if got := compiled.Match(d); got != naive {
 				t.Fatalf("doc %d: compiled matcher unstable across calls", i)
 			}
+		}
+	})
+}
+
+// FuzzCollectionOps decodes the fuzz input into a sequence of collection
+// operations — insert, upsert, update, delete, index creation, reopen with
+// and without Compact — and replays it against the shadow slice model of
+// rangeindex_test.go. After every step the collection must hold the
+// shadow's documents in the shadow's order, answer a drawn query like the
+// naive engine, and keep its representation's invariants (tombstone count,
+// byID, index sizes). Where the seeded churn test walks one long history
+// with friendly values, this explores short histories over the filter
+// fuzzer's adversarial pools: cross-type values, missing fields, filters a
+// tombstone would match, colliding ids.
+func FuzzCollectionOps(f *testing.F) {
+	// The checked-in corpus (testdata/fuzz/FuzzCollectionOps, three inputs per
+	// backend choice) was picked by random search for histories that reopen
+	// with tombstones in place and build indexes over them.
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w := &fuzzWalker{data: data}
+		opts := []Option(nil)
+		if backend := []string{"", BackendJSONL, BackendSegment}[w.pick(3)]; backend != "" {
+			opts = []Option{WithPath(filepath.Join(t.TempDir(), "fuzz.db")), WithBackend(backend)}
+		}
+		db, err := Open(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { db.Close() }()
+		col := db.Collection("fuzz")
+		s := newShadow()
+
+		batch := func() []Document {
+			docs := make([]Document, 1+w.pick(3))
+			for i := range docs {
+				docs[i] = w.document(w.pick(6))
+			}
+			return docs
+		}
+		for step := 0; step < 24 && w.pos < len(w.data); step++ {
+			switch op := w.pick(7); op {
+			case 0: // insert: atomic, so one known or repeated id rejects the batch
+				docs := batch()
+				dup, seen := false, map[string]bool{}
+				for _, d := range docs {
+					_, stored := s.pos[d.ID()]
+					dup = dup || stored || seen[d.ID()]
+					seen[d.ID()] = true
+				}
+				if err := col.InsertMany(docs); (err != nil) != dup {
+					t.Fatalf("step %d: insert of %v: err %v, shadow expects duplicate=%v", step, idsOf(docs), err, dup)
+				}
+				if !dup {
+					s.insert(docs)
+				}
+			case 1: // upsert (ids unique within the batch)
+				seen := map[string]bool{}
+				var docs []Document
+				for _, d := range batch() {
+					if !seen[d.ID()] {
+						seen[d.ID()] = true
+						docs = append(docs, d)
+					}
+				}
+				if _, err := col.UpsertMany(docs); err != nil {
+					t.Fatalf("step %d: upsert: %v", step, err)
+				}
+				s.upsert(docs)
+			case 2, 3: // update, delete
+				flt := w.filter(2)
+				matched := len(naiveQuery(s.docs, Query{Filter: flt}))
+				if op == 2 {
+					set := Document{"a": w.value(), "b": w.value()}
+					if n := col.Update(flt, set); n != matched {
+						t.Fatalf("step %d: Update(%#v) changed %d, shadow %d", step, flt, n, matched)
+					}
+					s.update(flt, set)
+				} else {
+					if n := col.Delete(flt); n != matched {
+						t.Fatalf("step %d: Delete(%#v) removed %d, shadow %d", step, flt, n, matched)
+					}
+					s.delete(flt)
+				}
+			case 4:
+				if field := w.field(); w.pick(2) == 0 {
+					col.EnsureIndex(field)
+				} else {
+					col.EnsureSortedIndex(field)
+				}
+			default: // 5: compact and reopen, 6: reopen (replays every delete)
+				if db.Backend() == "" {
+					continue
+				}
+				if op == 5 {
+					if err := db.Compact(); err != nil {
+						t.Fatalf("step %d: compact: %v", step, err)
+					}
+				}
+				if err := db.Close(); err != nil {
+					t.Fatalf("step %d: close: %v", step, err)
+				}
+				if db, err = Open(opts...); err != nil {
+					t.Fatalf("step %d: reopen: %v", step, err)
+				}
+				col = db.Collection("fuzz")
+			}
+
+			what := fmt.Sprintf("step %d", step)
+			checkStorageInvariants(t, step, col)
+			mustEqualIDs(t, what+" storage order", idsOf(col.Find(Query{})), idsOf(s.docs))
+			if col.Count() != len(s.docs) {
+				t.Fatalf("%s: Count %d, shadow %d", what, col.Count(), len(s.docs))
+			}
+			q := Query{Filter: w.filter(2), Skip: w.pick(3), Limit: w.pick(4)}
+			if w.pick(2) == 0 {
+				q.SortBy, q.SortDesc = w.field(), w.pick(2) == 0
+			}
+			mustEqualIDs(t, fmt.Sprintf("%s query %+v", what, q), idsOf(col.Find(q)), idsOf(naiveQuery(s.docs, q)))
 		}
 	})
 }

@@ -51,6 +51,9 @@ func (c *Collection) EnsureIndex(field string) {
 	}
 	idx := &index{field: field, fp: compilePath(field), byValue: map[string][]string{}}
 	for _, d := range c.docs {
+		if d == nil {
+			continue
+		}
 		if v, ok := d.lookupFP(idx.fp); ok {
 			k := indexKey(v)
 			idx.byValue[k] = append(idx.byValue[k], d.ID())
@@ -105,6 +108,46 @@ func (c *Collection) indexRemoveLocked(d Document) {
 	}
 	for _, si := range c.sorted {
 		si.removeLocked(d)
+	}
+}
+
+// indexRemoveManyLocked unregisters the documents one Delete removed. Each
+// hash bucket they touch is filtered once against the removed ids, keeping
+// bucket order — emptying a bucket of n ids through indexRemoveLocked would
+// rescan the shrinking bucket n times.
+func (c *Collection) indexRemoveManyLocked(docs []Document) {
+	if len(c.indexes) > 0 {
+		gone := make(map[string]struct{}, len(docs))
+		for _, d := range docs {
+			gone[d.ID()] = struct{}{}
+		}
+		for _, idx := range c.indexes {
+			touched := map[string]struct{}{}
+			for _, d := range docs {
+				if v, ok := d.lookupFP(idx.fp); ok {
+					touched[indexKey(v)] = struct{}{}
+				}
+			}
+			for k := range touched {
+				ids := idx.byValue[k]
+				kept := ids[:0]
+				for _, id := range ids {
+					if _, removed := gone[id]; !removed {
+						kept = append(kept, id)
+					}
+				}
+				if len(kept) == 0 {
+					delete(idx.byValue, k)
+				} else {
+					idx.byValue[k] = kept
+				}
+			}
+		}
+	}
+	for _, si := range c.sorted {
+		for _, d := range docs {
+			si.removeLocked(d)
+		}
 	}
 }
 

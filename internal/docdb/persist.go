@@ -29,11 +29,10 @@ func (db *DB) applyReplay(rec Record) {
 		c := db.Collection(rec.Collection)
 		c.mu.Lock()
 		if i, ok := c.byID[rec.ID]; ok {
-			c.docs = append(c.docs[:i], c.docs[i+1:]...)
-			c.byID = make(map[string]int, len(c.docs))
-			for j, d := range c.docs {
-				c.byID[d.ID()] = j
-			}
+			// No index exists during replay, so docs and byID are all
+			// there is to maintain: the same tombstone routine as Delete.
+			c.tombstoneLocked(i)
+			c.compactLocked()
 			c.bumpLocked(true)
 		}
 		c.mu.Unlock()
@@ -184,6 +183,9 @@ func (c *Collection) emitSnapshot(emit func(Record) error) error {
 // c.mu.RLock.
 func (c *Collection) emitSnapshotLocked(emit func(Record) error) error {
 	for _, d := range c.docs {
+		if d == nil {
+			continue
+		}
 		if err := emit(Record{Op: "insert", Collection: c.name, Doc: d}); err != nil {
 			return err
 		}

@@ -84,9 +84,11 @@ func (c *Collection) EnsureSortedIndex(field string) {
 		return
 	}
 	si := &sortedIndex{field: compilePath(field), dead: map[sortedEntry]struct{}{}}
-	si.entries = make([]sortedEntry, 0, len(c.docs))
+	si.entries = make([]sortedEntry, 0, len(c.docs)-c.dead)
 	for _, d := range c.docs {
-		si.entries = append(si.entries, si.entryFor(d))
+		if d != nil {
+			si.entries = append(si.entries, si.entryFor(d))
+		}
 	}
 	sort.Sort(entrySlice(si.entries))
 	c.sorted[field] = si

@@ -3,6 +3,7 @@ package measure
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"github.com/upin/scionpath/internal/docdb"
@@ -75,6 +76,12 @@ func CollectPaths(ctx context.Context, db *docdb.DB, d *sciond.Daemon, opts Coll
 	}
 
 	col := db.Collection(ColPaths)
+	// The stage's per-destination replace below is two Eq(server_id)
+	// queries on a collection that holds every destination's paths. It
+	// ensures the index they plan through itself: a campaign process never
+	// builds a selection engine, whose New would otherwise be the only
+	// place the index comes from (docs/CAMPAIGN.md "The collect stage").
+	col.EnsureIndex(FServerID)
 	for _, srv := range servers {
 		if err := ctx.Err(); err != nil {
 			if ferr := db.Flush(); ferr != nil {
@@ -105,12 +112,14 @@ func CollectPaths(ctx context.Context, db *docdb.DB, d *sciond.Daemon, opts Coll
 
 		// Replace this destination's paths: delete stale ones, insert new
 		// ("no longer available paths for one destination are deleted").
-		for _, old := range col.Find(docdb.Query{Filter: docdb.Eq(FServerID, srv.ID), Project: []string{FServerID}}) {
+		byServer := docdb.Eq(FServerID, srv.ID)
+		col.ForEach(docdb.Query{Filter: byServer}, func(old docdb.Document) bool {
 			if !liveIDs[old.ID()] {
 				rep.PathsDeleted++
 			}
-		}
-		col.Delete(docdb.Eq(FServerID, srv.ID))
+			return true
+		})
+		col.Delete(byServer)
 		if err := col.InsertMany(docs); err != nil {
 			rep.Errors[srv.ID] = err
 			continue
@@ -149,7 +158,7 @@ func FilterByHopSlack(paths []*pathmgr.Path, slack int) []*pathmgr.Path {
 func pathDocument(id string, serverID, index int, p *pathmgr.Path) docdb.Document {
 	isds := make([]any, 0, 4)
 	for _, isd := range p.ISDSet() {
-		isds = append(isds, fmt.Sprintf("%d", isd))
+		isds = append(isds, strconv.Itoa(int(isd)))
 	}
 	return docdb.Document{
 		"_id":        id,

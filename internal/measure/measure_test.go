@@ -158,6 +158,11 @@ func TestCollectPathsIdempotentAndCleansStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	n1 := s.DB.Collection(ColPaths).Count()
+	// The stage ensures the index its per-destination queries plan through;
+	// no selection engine was built in this process to do it for them.
+	if got := s.DB.Collection(ColPaths).Indexes(); len(got) != 1 || got[0] != FServerID {
+		t.Errorf("paths hash indexes after collect = %v, want [%s]", got, FServerID)
+	}
 	// Inject a stale path that a re-collection must remove.
 	s.DB.Collection(ColPaths).Insert(docdb.Document{
 		"_id": PathID(1, 999), FServerID: 1, FPathIndex: 999, FHops: 99,
@@ -171,8 +176,8 @@ func TestCollectPathsIdempotentAndCleansStale(t *testing.T) {
 		t.Errorf("path count changed across identical collections: %d vs %d",
 			s.DB.Collection(ColPaths).Count(), n1)
 	}
-	if rep.PathsDeleted == 0 {
-		t.Error("stale path not counted as deleted")
+	if rep.PathsDeleted != 1 {
+		t.Errorf("re-collection counted %d deleted paths, want the 1 stale one", rep.PathsDeleted)
 	}
 	if s.DB.Collection(ColPaths).Get(PathID(1, 999)) != nil {
 		t.Error("stale path survived re-collection")

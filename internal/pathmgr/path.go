@@ -8,6 +8,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -27,13 +28,21 @@ type Hop struct {
 // String renders the hop in showpaths notation "IA#in,out" (source and
 // destination render the single relevant interface).
 func (h Hop) String() string {
+	return string(h.appendTo(make([]byte, 0, 32)))
+}
+
+func (h Hop) appendTo(b []byte) []byte {
+	b = h.IA.AppendTo(b)
+	b = append(b, '#')
 	switch {
 	case h.In == 0:
-		return fmt.Sprintf("%s#%d", h.IA, h.Out)
+		return strconv.AppendUint(b, uint64(h.Out), 10)
 	case h.Out == 0:
-		return fmt.Sprintf("%s#%d", h.IA, h.In)
+		return strconv.AppendUint(b, uint64(h.In), 10)
 	default:
-		return fmt.Sprintf("%s#%d,%d", h.IA, h.In, h.Out)
+		b = strconv.AppendUint(b, uint64(h.In), 10)
+		b = append(b, ',')
+		return strconv.AppendUint(b, uint64(h.Out), 10)
 	}
 }
 
@@ -76,7 +85,7 @@ func (p *Path) ISDSetKey() string {
 	isds := p.ISDSet()
 	parts := make([]string, len(isds))
 	for i, isd := range isds {
-		parts[i] = fmt.Sprintf("%d", isd)
+		parts[i] = strconv.Itoa(int(isd))
 	}
 	return strings.Join(parts, "-")
 }
@@ -106,17 +115,26 @@ func (p *Path) HasLoop() bool {
 // Sequence renders the full hop-predicate sequence of the path, the string
 // passed to `scion ping --sequence '...'` to pin the route (§5.3).
 func (p *Path) Sequence() string {
-	parts := make([]string, len(p.Hops))
+	return string(p.sequenceBytes())
+}
+
+// sequenceBytes renders Sequence into one buffer; Fingerprint hashes it
+// without the string copy.
+func (p *Path) sequenceBytes() []byte {
+	b := make([]byte, 0, 24*len(p.Hops))
 	for i, h := range p.Hops {
-		parts[i] = h.String()
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = h.appendTo(b)
 	}
-	return strings.Join(parts, " ")
+	return b
 }
 
 // Fingerprint returns a short stable identifier derived from the hop
 // sequence, as the scion tools print.
 func (p *Path) Fingerprint() string {
-	sum := sha256.Sum256([]byte(p.Sequence()))
+	sum := sha256.Sum256(p.sequenceBytes())
 	return hex.EncodeToString(sum[:8])
 }
 

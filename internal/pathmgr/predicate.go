@@ -53,18 +53,20 @@ func ParsePredicate(s string) (Predicate, error) {
 
 // String renders the predicate canonically.
 func (p Predicate) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d-%s", p.ISD, p.AS)
-	if len(p.IfIDs) > 0 {
-		b.WriteByte('#')
-		for i, ifid := range p.IfIDs {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "%d", ifid)
+	return string(p.appendTo(make([]byte, 0, 32)))
+}
+
+func (p Predicate) appendTo(b []byte) []byte {
+	b = addr.IA{ISD: p.ISD, AS: p.AS}.AppendTo(b)
+	for i, ifid := range p.IfIDs {
+		if i == 0 {
+			b = append(b, '#')
+		} else {
+			b = append(b, ',')
 		}
+		b = strconv.AppendUint(b, uint64(ifid), 10)
 	}
-	return b.String()
+	return b
 }
 
 // MatchHop reports whether the predicate matches a hop. Wildcard components
@@ -130,15 +132,18 @@ func ParseSequence(s string) (Sequence, error) {
 
 // String renders the sequence in the form accepted by ParseSequence.
 func (s Sequence) String() string {
-	parts := make([]string, len(s))
+	b := make([]byte, 0, 24*len(s))
 	for i, p := range s {
+		if i > 0 {
+			b = append(b, ' ')
+		}
 		if p.isGlob() {
-			parts[i] = "*"
+			b = append(b, '*')
 		} else {
-			parts[i] = p.String()
+			b = p.appendTo(b)
 		}
 	}
-	return strings.Join(parts, " ")
+	return string(b)
 }
 
 // MatchPath reports whether the path satisfies the sequence. Without glob

@@ -1,8 +1,11 @@
 package pathmgr
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -277,5 +280,97 @@ func TestHopString(t *testing.T) {
 	}
 	if dst.String() != "16-ffaa:0:1002#4" {
 		t.Errorf("dst hop: %q", dst.String())
+	}
+}
+
+// The fmt renderings Hop.String, Predicate.String, Sequence.String and
+// Path.Sequence had before they moved to strconv appends into one buffer.
+// PathSequence strings are stored as hop_predicates and hashed into
+// fingerprints, so the append forms must stay byte-identical.
+func fmtHop(h Hop) string {
+	switch {
+	case h.In == 0:
+		return fmt.Sprintf("%s#%d", h.IA, h.Out)
+	case h.Out == 0:
+		return fmt.Sprintf("%s#%d", h.IA, h.In)
+	default:
+		return fmt.Sprintf("%s#%d,%d", h.IA, h.In, h.Out)
+	}
+}
+
+func fmtPredicate(p Predicate) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d-%s", p.ISD, p.AS)
+	if len(p.IfIDs) > 0 {
+		b.WriteByte('#')
+		for i, ifid := range p.IfIDs {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, "%d", ifid)
+		}
+	}
+	return b.String()
+}
+
+func TestRenderingsMatchFmt(t *testing.T) {
+	ias := []addr.IA{
+		{},                                 // full wildcard
+		{ISD: 16},                          // ISD wildcard predicate "16-0"
+		{ISD: 17, AS: 64512},               // decimal AS
+		{ISD: 17, AS: 0xffaa_0001_0001},    // colon AS
+		{ISD: 19, AS: 0xffaa_0000_1303},    // colon AS, zero middle group
+		{ISD: 65535, AS: 0xffff_ffff_ffff}, // widest
+	}
+	ifs := []addr.IfID{0, 1, 9, 10, 41, 65535}
+
+	var hops []Hop
+	for _, ia := range ias {
+		for _, in := range ifs {
+			for _, out := range ifs {
+				h := Hop{IA: ia, In: in, Out: out}
+				if !ia.Zero() { // "0-0#65535" is the glob marker, not a hop
+					hops = append(hops, h)
+				}
+				if got, want := h.String(), fmtHop(h); got != want {
+					t.Errorf("%#v.String() = %q, fmt renders %q", h, got, want)
+				}
+			}
+		}
+		for _, ifids := range [][]addr.IfID{nil, {}, {3}, {3, 2}, {65535, 1, 10}} {
+			p := Predicate{ISD: ia.ISD, AS: ia.AS, IfIDs: ifids}
+			if got, want := p.String(), fmtPredicate(p); got != want {
+				t.Errorf("%#v.String() = %q, fmt renders %q", p, got, want)
+			}
+		}
+	}
+
+	// Whole paths: Sequence, the fingerprint's pre-image, and the pinned
+	// predicate sequence, against per-hop fmt renderings joined by spaces.
+	for n := 0; n <= len(hops); n += 7 {
+		p := &Path{Hops: hops[:n]}
+		hopParts := make([]string, n)
+		predParts := make([]string, n)
+		seq := PathSequence(p)
+		for i, h := range p.Hops {
+			hopParts[i] = fmtHop(h)
+			predParts[i] = fmtPredicate(seq[i])
+		}
+		if got, want := p.Sequence(), strings.Join(hopParts, " "); got != want {
+			t.Fatalf("%d hops: Sequence() = %q, fmt renders %q", n, got, want)
+		}
+		sum := sha256.Sum256([]byte(strings.Join(hopParts, " ")))
+		if got, want := p.Fingerprint(), hex.EncodeToString(sum[:8]); got != want {
+			t.Fatalf("%d hops: Fingerprint() = %s, fmt pre-image hashes to %s", n, got, want)
+		}
+		if got, want := seq.String(), strings.Join(predParts, " "); got != want {
+			t.Fatalf("%d hops: PathSequence.String() = %q, fmt renders %q", n, got, want)
+		}
+	}
+
+	// Glob tokens render as "*" between predicates.
+	seq := Sequence{{ISD: 17, AS: 0xffaa_0001_0001, IfIDs: []addr.IfID{1}}, globToken(), {ISD: 19}, globToken()}
+	if got, want := seq.String(), "17-ffaa:1:1#1 * 19-0 *"; got != want {
+		t.Errorf("glob sequence renders %q, want %q", got, want)
 	}
 }

@@ -80,11 +80,14 @@ echo "== tier 2: fuzzer smoke (10s each)"
 # Differential fuzz of the compiled query filters against the naive
 # evaluator, the segment-log replayer against corrupted shard files
 # (truncations and bit flips must never panic or replay past a bad CRC),
-# and the lint directive parser against arbitrary comment text. The
+# collection operation sequences (insert/upsert/update/delete/index/reopen
+# against the shadow slice model, tombstones included), and the lint
+# directive parser against arbitrary comment text. The
 # checked-in corpora under testdata/fuzz/ always run as part of tier 1;
 # this explores beyond them for a bounded time.
 go test -run '^$' -fuzz '^FuzzCompileFilter$' -fuzztime 10s ./internal/docdb >/dev/null
 go test -run '^$' -fuzz '^FuzzSegmentReplay$' -fuzztime 10s ./internal/docdb >/dev/null
+go test -run '^$' -fuzz '^FuzzCollectionOps$' -fuzztime 10s ./internal/docdb >/dev/null
 go test -run '^$' -fuzz '^FuzzIgnoreDirective$' -fuzztime 10s ./internal/lint >/dev/null
 
 echo "== tier 2: coverage floor (internal/..., >= ${COVERAGE_FLOOR}%)"
@@ -118,8 +121,10 @@ go test -run '^$' -bench=Load -benchtime=1x ./internal/load >/dev/null
 
 echo "== tier 2: path-discovery benchmark smoke (-benchtime 1x)"
 # Keeps BenchmarkPathDisc* (the BENCH_pathdisc.json trajectory, see
-# docs/PATHDISC.md) runnable, including the 1k/5k-AS generated worlds.
-go test -run '^$' -bench=PathDisc -benchtime=1x . >/dev/null
+# docs/PATHDISC.md) runnable, including the 1k/5k-AS generated worlds, and
+# BenchmarkCollectPathsRepeat (the repeat collect on the 1000-AS world,
+# recorded in BENCH_docdb.json, see docs/CAMPAIGN.md).
+go test -run '^$' -bench='PathDisc|CollectPathsRepeat' -benchtime=1x . >/dev/null
 
 echo "== tier 2: parallel campaign smoke (testsuite --workers 4)"
 go run ./cmd/testsuite 2 --servers 1,2,3 --workers 4 --no-bandwidth \
