@@ -728,3 +728,116 @@ func TestConformanceReplayManyDeletes(t *testing.T) {
 		mustMatchLive(t, db2, wantDocs, wantOrder)
 	})
 }
+
+// since collects what ForEachSince streams from pos.
+func since(col *Collection, pos int) (ids []string, next int, gen, rw int64) {
+	next, gen, rw = col.ForEachSince(pos, func(d Document) { ids = append(ids, d.ID()) })
+	return ids, next, gen, rw
+}
+
+// TestConformanceCursor pins the arrival cursor (cursor.go ForEachSince) on
+// the in-memory store and on every backend: positions are stable across
+// appends, so a cursor taken after one batch streams exactly the next ones;
+// every operation that rewrites or removes a stored document — Update,
+// upsert replacement, Delete with and without a squeeze — moves
+// RewriteGeneration, which is how a consumer learns its position is void;
+// and after Compact and a reopen a cursor from 0 streams the live documents
+// in storage order.
+func TestConformanceCursor(t *testing.T) {
+	run := func(t *testing.T, db *DB, reopen func() *DB) {
+		col := db.Collection("stats")
+		batch := func(from, n int) []Document {
+			docs := make([]Document, n)
+			for i := range docs {
+				docs[i] = Document{"_id": fmt.Sprintf("d%03d", from+i), "v": from + i}
+			}
+			return docs
+		}
+		stored := func() []string { return idsOf(col.Find(Query{})) }
+		if err := col.InsertMany(batch(0, 10)); err != nil {
+			t.Fatal(err)
+		}
+		ids, next, gen, rw := since(col, 0)
+		mustEqualIDs(t, "cursor from 0", ids, stored())
+		if next != 10 || gen != col.Generation() || rw != col.RewriteGeneration() {
+			t.Fatalf("cursor from 0: next %d gen %d rw %d; collection at %d/%d",
+				next, gen, rw, col.Generation(), col.RewriteGeneration())
+		}
+
+		// Appends (insert, and an upsert of unknown ids) keep positions.
+		if err := col.InsertMany(batch(10, 5)); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := col.UpsertMany(batch(15, 2)); err != nil || n != 0 {
+			t.Fatalf("appending upsert replaced %d, err %v", n, err)
+		}
+		ids, next2, gen2, rw2 := since(col, next)
+		mustEqualIDs(t, "tail after appends", ids, idsOf(batch(10, 7)))
+		if next2 != 17 || rw2 != rw || gen2 <= gen {
+			t.Fatalf("after appends: next %d, rewrite generation %d -> %d, generation %d -> %d", next2, rw, rw2, gen, gen2)
+		}
+		if ids, again, _, _ := since(col, next2); len(ids) != 0 || again != next2 {
+			t.Fatalf("cursor at the end streamed %v and moved to %d", ids, again)
+		}
+
+		// Every rewrite moves RewriteGeneration; a cursor from 0 then streams
+		// the live documents in storage order.
+		rewrites := []struct {
+			name string
+			dead int // tombstones the collection holds afterwards
+			do   func() int
+		}{
+			{"update", 0, func() int { return col.Update(Eq("_id", "d003"), Document{"v": -3}) }},
+			{"upsert replacement", 0, func() int {
+				n, err := col.UpsertMany([]Document{{"_id": "d004", "v": -4}, {"_id": "d100", "v": 100}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}},
+			{"interior delete (tombstone stays)", 1, func() int { return col.Delete(Eq("_id", "d005")) }},
+			{"delete that squeezes", 0, func() int { return col.Delete(Lt("v", 12)) }},
+		}
+		for _, step := range rewrites {
+			_, _, _, before := since(col, 0)
+			if step.do() == 0 {
+				t.Fatalf("%s matched nothing", step.name)
+			}
+			ids, next, gen, after := since(col, 0)
+			if after == before || after != col.RewriteGeneration() || gen != col.Generation() {
+				t.Fatalf("%s: rewrite generation %d -> %d (collection %d)", step.name, before, after, col.RewriteGeneration())
+			}
+			mustEqualIDs(t, step.name+": cursor from 0", ids, stored())
+			if col.dead != step.dead || next != col.Count()+step.dead {
+				t.Fatalf("%s: %d tombstones (want %d), next %d over %d documents", step.name, col.dead, step.dead, next, col.Count())
+			}
+			if ids, end, _, _ := since(col, next+100); len(ids) != 0 || end != next {
+				t.Fatalf("%s: cursor beyond the end streamed %v, next %d", step.name, ids, end)
+			}
+		}
+
+		if reopen == nil {
+			return
+		}
+		col.Delete(Eq("_id", "d013")) // reopen with a tombstone on file
+		want := stored()
+		if err := db.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		db2 := reopen()
+		defer db2.Close()
+		col = db2.Collection("stats")
+		ids, next, _, _ = since(col, 0)
+		mustEqualIDs(t, "after Compact and reopen", ids, want)
+		if next != len(want) {
+			t.Fatalf("after Compact and reopen: next %d over %d documents", next, len(want))
+		}
+	}
+	t.Run("memory", func(t *testing.T) { run(t, MustOpen(), nil) })
+	forEachBackend(t, func(t *testing.T, backend, path string) {
+		run(t, mustOpenBackend(t, backend, path), func() *DB { return mustOpenBackend(t, backend, path) })
+	})
+}

@@ -30,3 +30,27 @@ func (c *Collection) ForEach(q Query, fn func(Document) bool) int {
 	}
 	return seen
 }
+
+// ForEachSince is the arrival cursor: it streams the stored documents at
+// storage positions >= pos to fn, in storage order, and returns the position
+// after the last slot together with Generation and RewriteGeneration, all
+// three read under the one read lock — so the returned generation is exactly
+// the state fn saw. An incremental consumer keeps (next, rewriteGen) and
+// passes next back in; while the rewriteGen it gets back equals the one it
+// kept, the collection has only grown by appends (tombstone trims and
+// squeezes happen only inside Delete, which moves RewriteGeneration, as do
+// Update and upsert replacement), so the documents streamed are exactly the
+// ones stored since. When it differs, positions taken before the rewrite mean
+// nothing and the consumer must discard what it folded and restart from 0
+// (a pos beyond the end streams nothing). fn is bound by the ForEach
+// contract above: it must neither mutate, retain, nor call back.
+func (c *Collection) ForEachSince(pos int, fn func(Document)) (next int, gen, rewriteGen int64) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for i := max(pos, 0); i < len(c.docs); i++ {
+		if d := c.docs[i]; d != nil { // a tombstone below a cursor taken at 0
+			fn(d)
+		}
+	}
+	return len(c.docs), c.gen.Load(), c.rewriteGen.Load()
+}

@@ -178,7 +178,11 @@ func FuzzCompileFilter(f *testing.F) {
 // byID, index sizes). Where the seeded churn test walks one long history
 // with friendly values, this explores short histories over the filter
 // fuzzer's adversarial pools: cross-type values, missing fields, filters a
-// tombstone would match, colliding ids.
+// tombstone would match, colliding ids. The arrival cursor rides along as
+// an invariant rather than a drawn step (so the corpus keeps decoding to the
+// same histories): a cursor is taken every third step, and at every step
+// "documents since that position" must be exactly what the shadow appended
+// since, for as long as RewriteGeneration has not moved.
 func FuzzCollectionOps(f *testing.F) {
 	// The checked-in corpus (testdata/fuzz/FuzzCollectionOps, three inputs per
 	// backend choice) was picked by random search for histories that reopen
@@ -197,6 +201,16 @@ func FuzzCollectionOps(f *testing.F) {
 		defer func() { db.Close() }()
 		col := db.Collection("fuzz")
 		s := newShadow()
+		// The cursor under test: a storage position, the RewriteGeneration
+		// read with it, and the shadow's length at that moment.
+		var cur struct {
+			pos, shadowLen int
+			rw             int64
+		}
+		takeCursor := func() {
+			cur.pos, _, cur.rw = col.ForEachSince(1<<30, func(Document) {})
+			cur.shadowLen = len(s.docs)
+		}
 
 		batch := func() []Document {
 			docs := make([]Document, 1+w.pick(3))
@@ -271,9 +285,19 @@ func FuzzCollectionOps(f *testing.F) {
 					t.Fatalf("step %d: reopen: %v", step, err)
 				}
 				col = db.Collection("fuzz")
+				takeCursor() // positions belong to one Collection value
 			}
 
 			what := fmt.Sprintf("step %d", step)
+			var tail []string
+			if _, _, rw := col.ForEachSince(cur.pos, func(d Document) { tail = append(tail, d.ID()) }); rw != cur.rw {
+				takeCursor() // rewritten: the position means nothing any more
+			} else {
+				mustEqualIDs(t, what+" documents since the cursor", tail, idsOf(s.docs[cur.shadowLen:]))
+				if step%3 == 2 {
+					takeCursor()
+				}
+			}
 			checkStorageInvariants(t, step, col)
 			mustEqualIDs(t, what+" storage order", idsOf(col.Find(Query{})), idsOf(s.docs))
 			if col.Count() != len(s.docs) {

@@ -342,7 +342,7 @@ func bruteForceSet(t *testing.T, e *Engine, sid int, req SetRequest) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aggs := snap.servers[sid]
+	aggs := snap.servers[sid].aggs
 	type oc struct {
 		id             string
 		score, norm    float64

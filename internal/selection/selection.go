@@ -130,14 +130,14 @@ type Engine struct {
 	// owns restricts the snapshot to the destinations this engine serves
 	// (nil = all). A sharded serving tier gives every replica its own
 	// owner-filtered engine, so each shard's snapshot carries — and each
-	// refresh clones and annotates — only its share of the path catalogue.
+	// rebuild annotates — only its share of the path catalogue.
 	owns func(serverID int) bool
 
 	// current is the published serving snapshot; nil until first refresh.
 	current atomic.Pointer[snapshot]
 	// rebuilds/folds/coalesced count full refreshes, incremental
-	// refreshes, and requests served a stale-but-consistent snapshot while
-	// another caller's refresh was in flight (tests, /api/stats).
+	// refreshes, and requests that waited for another caller's refresh
+	// instead of running their own (tests, /api/stats).
 	rebuilds  atomic.Int64
 	folds     atomic.Int64
 	coalesced atomic.Int64
@@ -160,9 +160,9 @@ func WithServerOwner(owns func(serverID int) bool) Option {
 
 // New returns an engine over the given database and topology. The stats
 // collection gets a hash index on path_id (per-path aggregation in the
-// tests' uncached oracle) and an ordered index on
-// timestamp_ms (incremental refresh folds only documents above the
-// snapshot's high-water mark); the paths collection gets a hash index on
+// tests' uncached oracle) and an ordered index on timestamp_ms (the
+// campaign's newest-stats and prune queries; refresh itself reads by storage
+// position and needs neither); the paths collection gets a hash index on
 // server_id and an ordered index on path_index.
 func New(db *docdb.DB, topo *topology.Topology, opts ...Option) *Engine {
 	stats := db.Collection(measure.ColStats)
@@ -179,8 +179,8 @@ func New(db *docdb.DB, topo *topology.Topology, opts ...Option) *Engine {
 }
 
 // Counters reports refresh activity since the engine was built: full
-// rebuilds, incremental folds, and requests coalesced onto a stale
-// snapshot while a refresh was in flight.
+// rebuilds, incremental folds, and requests that waited for a refresh
+// another request was running.
 func (e *Engine) Counters() (rebuilds, folds, coalesced int64) {
 	return e.rebuilds.Load(), e.folds.Load(), e.coalesced.Load()
 }
@@ -189,7 +189,8 @@ func (e *Engine) Counters() (rebuilds, folds, coalesced int64) {
 // request, best first. Paths without measurements are skipped. The answer
 // comes from the serving snapshot: when it is current this is a lock-free
 // read plus per-request filtering; when stale, one caller refreshes while
-// others are served the previous snapshot (bounded staleness, snapshot.go).
+// the others wait for it, and every write that returned before the call
+// began is reflected (read-your-writes, snapshot.go).
 func (e *Engine) Select(ctx context.Context, serverID int, req Request) ([]Candidate, error) {
 	return e.SelectTop(ctx, serverID, req, 0)
 }
@@ -253,7 +254,7 @@ func (e *Engine) Best(ctx context.Context, serverID int, req Request) (Candidate
 }
 
 // aggregatesFor returns the destination's aggregates, in catalogue order,
-// from a current-or-bounded-stale serving snapshot.
+// from a serving snapshot no older than the request (snapshot.go).
 func (e *Engine) aggregatesFor(ctx context.Context, serverID int) ([]*pathAgg, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("selection: select cancelled: %w", err)
@@ -262,7 +263,7 @@ func (e *Engine) aggregatesFor(ctx context.Context, serverID int) ([]*pathAgg, e
 	if err != nil {
 		return nil, err
 	}
-	aggs := snap.servers[serverID]
+	aggs := snap.servers[serverID].aggs
 	if len(aggs) == 0 {
 		return nil, fmt.Errorf("selection: no collected paths for server %d", serverID)
 	}

@@ -58,22 +58,30 @@ var benchSizes = []int{10_000, 100_000}
 func syntheticCatalogue(tb testing.TB, topo *topology.Topology, db *docdb.DB,
 	nPaths, statsPer int, seed int64) int {
 	tb.Helper()
+	return syntheticCatalogues(tb, topo, db, 1, nPaths, statsPer, seed)[0]
+}
+
+// syntheticCatalogues is syntheticCatalogue for the first nDests servers.
+func syntheticCatalogues(tb testing.TB, topo *topology.Topology, db *docdb.DB,
+	nDests, nPaths, statsPer int, seed int64) []int {
+	tb.Helper()
 	if err := measure.SeedServers(db, topo); err != nil {
 		tb.Fatal(err)
 	}
 	srvs, err := measure.Servers(db)
-	if err != nil || len(srvs) == 0 {
-		tb.Fatalf("no servers (%v)", err)
+	if err != nil || len(srvs) < nDests {
+		tb.Fatalf("%d servers, need %d (%v)", len(srvs), nDests, err)
 	}
-	sid := srvs[0].ID
-	dst := srvs[0].Address.IA
 	ases := topo.ASes()
 	r := rand.New(rand.NewSource(seed))
 
-	pathDocs := make([]docdb.Document, 0, nPaths)
-	statsDocs := make([]docdb.Document, 0, nPaths*statsPer)
+	sids := make([]int, nDests)
+	pathDocs := make([]docdb.Document, 0, nDests*nPaths)
+	statsDocs := make([]docdb.Document, 0, nDests*nPaths*statsPer)
 	nowMs := int64(1_700_000_000_000)
-	for i := 0; i < nPaths; i++ {
+	for i := 0; i < nDests*nPaths; i++ {
+		sid, dst := srvs[i/nPaths].ID, srvs[i/nPaths].Address.IA
+		sids[i/nPaths] = sid
 		hops := 3 + r.Intn(4)
 		parts := make([]string, 0, hops+1)
 		isds := map[string]bool{}
@@ -88,11 +96,11 @@ func syntheticCatalogue(tb testing.TB, topo *topology.Topology, db *docdb.DB,
 		for isd := range isds {
 			isdList = append(isdList, isd)
 		}
-		id := measure.PathID(sid, i)
+		id := measure.PathID(sid, i%nPaths)
 		pathDocs = append(pathDocs, docdb.Document{
 			"_id":              id,
 			measure.FServerID:  sid,
-			measure.FPathIndex: i,
+			measure.FPathIndex: i % nPaths,
 			measure.FHops:      hops + 1,
 			measure.FSequence:  strings.Join(parts, " "),
 			measure.FISDs:      isdList,
@@ -119,7 +127,7 @@ func syntheticCatalogue(tb testing.TB, topo *topology.Topology, db *docdb.DB,
 	if err := db.Collection(measure.ColStats).InsertMany(statsDocs); err != nil {
 		tb.Fatal(err)
 	}
-	return sid
+	return sids
 }
 
 // BenchmarkServingSelect profiles one Select at generated-world candidate
@@ -275,6 +283,60 @@ func BenchmarkServingRefreshIncremental(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				w.bulkInOrder(b, 100)
 				if _, err := e.Select(ctx, sid, Request{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkServingFold is the refresh alone, on the catalogue the end-to-end
+// benchmark serves (6 destinations × 1000 paths): one 50-document cell for
+// one destination is stored past a built snapshot, and every iteration
+// refreshes from that snapshot again without publishing. forward stamps the
+// cell above the history's newest timestamp, backfill below its oldest (what
+// a resumed parallel campaign stores); foreign refreshes an owner-filtered
+// engine that serves the other five destinations.
+func BenchmarkServingFold(b *testing.B) {
+	for _, mode := range []string{"forward", "backfill", "foreign"} {
+		b.Run(mode, func(b *testing.B) {
+			topo := topology.DefaultWorld()
+			db := docdb.MustOpen()
+			dests := syntheticCatalogues(b, topo, db, 6, 1000, 3, 7)
+			target, served := dests[0], dests[0]
+			var opts []Option
+			if mode == "foreign" {
+				served = dests[1]
+				opts = append(opts, WithServerOwner(func(id int) bool { return id != target }))
+			}
+			e := New(db, topo, opts...)
+			if _, err := e.Select(context.Background(), served, Request{}); err != nil {
+				b.Fatal(err)
+			}
+			prev := e.current.Load()
+
+			r := rand.New(rand.NewSource(16))
+			cell := make([]docdb.Document, 50)
+			for i := range cell {
+				ts := int64(1_800_000_000_000 + i)
+				if mode == "backfill" {
+					ts = int64(1_600_000_000_000 - i)
+				}
+				id := measure.PathID(target, r.Intn(1000))
+				cell[i] = docdb.Document{
+					"_id":           fmt.Sprintf("%s@%d#cell", id, ts),
+					measure.FPathID: id, measure.FServerID: target, measure.FTimestamp: ts,
+					measure.FLoss: 0.5, measure.FAvgLatency: 10 + r.Float64()*150, measure.FMdev: 1.0,
+					measure.FBwUpMTU: 5e7, measure.FBwDownMTU: 5e7,
+				}
+			}
+			if err := db.Collection(measure.ColStats).InsertMany(cell); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.rebuildOrFold(prev); err != nil {
 					b.Fatal(err)
 				}
 			}

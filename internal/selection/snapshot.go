@@ -1,23 +1,21 @@
 package selection
 
 // Snapshot-based serving (see docs/SERVING.md). The engine's hot path —
-// Select behind /api/paths and /api/intent — used to re-aggregate every
-// path's full paths_stats history on every request, so latency grew with
-// campaign size. Instead, the engine now publishes an immutable snapshot of
-// per-path running aggregates via an atomic pointer:
+// Select behind /api/paths and /api/intent — serves from an immutable
+// snapshot of per-path running aggregates published via an atomic pointer:
 //
 //   - a Select at a current generation is a lock-free pointer load plus
 //     per-request filtering/scoring — O(candidates), not O(stats docs);
-//   - a Select at a stale generation refreshes first. Refresh is
-//     incremental: only stats documents newer than the snapshot's
-//     high-water timestamp_ms are folded into copies of the running
-//     aggregates (riding the ordered timestamp index), so refresh cost
-//     scales with the number of NEW documents, not with history;
-//   - refreshes are single-flight: N concurrent requests at a stale
-//     generation trigger exactly one rebuild, and while it runs, requests
-//     that already have a previous snapshot are served that one (bounded
-//     staleness — a response may lag by the writes that arrived since the
-//     in-flight refresh began, but never blocks behind it).
+//   - a Select at a stale generation refreshes first. Refresh is by arrival:
+//     the snapshot keeps the stats collection's storage position it has
+//     folded up to, and the next refresh folds exactly the documents stored
+//     since (docdb.ForEachSince) into copies of the aggregates they touch —
+//     cost scales with the NEW documents, whatever their timestamps, not
+//     with history or catalogue;
+//   - refreshes are single-flight and read-your-writes: N concurrent
+//     requests at a stale generation trigger one refresh, the others wait
+//     for it, and no request is handed a snapshot older than the generation
+//     pair it read on entry.
 //
 // Correctness against the uncached engine is pinned by the randomized
 // oracle in snapshot_test.go: cached Select results are deep-equal to
@@ -26,7 +24,9 @@ package selection
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"strings"
 
 	"github.com/upin/scionpath/internal/addr"
@@ -36,10 +36,9 @@ import (
 )
 
 // pathAgg is one path's running aggregate: identity and geo annotation
-// computed once per rebuild, plus the metric sums an incremental refresh
-// extends. The fold order is the collection's storage order both on rebuild
-// and on incremental refresh, so the floating-point sums are bit-identical
-// to the uncached per-path aggregation.
+// computed once per rebuild, plus the metric sums a fold extends. The fold
+// order is the collection's storage order on every refresh, so the
+// floating-point sums are bit-identical to the uncached per-path aggregation.
 type pathAgg struct {
 	// id carries the candidate's identity fields (PathID, ServerID, Hops,
 	// ISDs, Sequence) and geo annotation; its metric fields stay zero.
@@ -49,7 +48,7 @@ type pathAgg struct {
 	hops []hopMeta
 	// links/transit are the path's hop-level overlap keys (directed
 	// AS-pair links and interior ASes, see pathset.go), computed once per
-	// snapshot generation in rebuild and shared by every COW clone, so
+	// rebuild and shared by every copy a fold makes, so
 	// SelectSet's penalty arithmetic is pure integer-set probes at request
 	// time.
 	links   []uint64
@@ -135,32 +134,44 @@ func (a *pathAgg) candidate(score float64) Candidate {
 	return c
 }
 
-// snapshot is one immutable, atomically-published view of the serving
-// state. Readers never mutate it; refreshes build a new one (incremental
-// refreshes clone the aggregates copy-on-write) and swap the pointer.
-type snapshot struct {
-	pathsGen int64 // paths collection generation folded in
-	statsGen int64 // stats collection generation folded in
-	statsRW  int64 // stats RewriteGeneration folded in
-	// highWater is the largest timestamp_ms folded; frontier lists the
-	// stats _ids at exactly that timestamp, so the next incremental fold
-	// (Gte highWater) can skip what it already counted.
-	highWater int64
-	frontier  map[string]struct{}
-	// folded counts every stats document folded (including documents of
-	// unknown paths). An incremental fold that ends with fewer folded
-	// documents than the collection holds has missed an out-of-order write
-	// below the high-water mark and falls back to a full rebuild.
-	folded int
+// destAggs is what a snapshot serves for one destination.
+type destAggs struct {
+	// version is the refresh (snapshot.seq) that last changed this
+	// destination's aggregates; a response cache keys its validity on it.
+	version int64
+	aggs    []*pathAgg // in PathsForServer order
+}
 
-	servers map[int][]*pathAgg // per destination, in PathsForServer order
-	byPath  map[string]*pathAgg
+// pathLoc places a path id in its destination's aggregate slice.
+type pathLoc struct {
+	server, slot int
+}
+
+// snapshot is one immutable, atomically-published view of the serving
+// state. Readers never mutate it; a refresh builds a new one that shares
+// everything it did not change and swaps the pointer.
+type snapshot struct {
+	seq      int64 // ordinal of the refresh that produced it
+	pathsGen int64 // paths generation, unchanged across the whole refresh
+	// statsGen/statsRW/cursor come from one docdb.ForEachSince call: the
+	// snapshot holds exactly the stats documents below storage position
+	// cursor, which is exactly the collection at statsGen.
+	statsGen int64
+	statsRW  int64
+	cursor   int
+	folded   int // stats documents streamed, including other owners' and unknown paths'
+
+	// index is built once per rebuild and shared, immutable, by every
+	// snapshot folded from it; servers is copied only by a fold that touches
+	// an owned destination, and then only that destination's pointer slice
+	// and the aggregates that changed.
+	index   map[string]pathLoc
+	servers map[int]destAggs
 }
 
 // refreshFlight is one in-progress snapshot refresh.
 type refreshFlight struct {
 	done chan struct{}
-	snap *snapshot
 	err  error
 }
 
@@ -169,9 +180,12 @@ type refreshFlight struct {
 type SnapshotInfo struct {
 	StatsGeneration int64
 	PathsGeneration int64
-	HighWaterMs     int64
-	Paths           int
-	StatsFolded     int
+	// GenerationLag is how far the collections have moved past the snapshot
+	// (in DB-wide generation stamps, both collections summed): 0 when
+	// current, positive while writes wait for the next request to fold them.
+	GenerationLag int64
+	Paths         int
+	StatsFolded   int
 }
 
 // SnapshotInfo returns the current snapshot's summary; ok is false before
@@ -184,157 +198,184 @@ func (e *Engine) SnapshotInfo() (SnapshotInfo, bool) {
 	return SnapshotInfo{
 		StatsGeneration: s.statsGen,
 		PathsGeneration: s.pathsGen,
-		HighWaterMs:     s.highWater,
-		Paths:           len(s.byPath),
+		GenerationLag:   e.stats.Generation() - s.statsGen + e.paths.Generation() - s.pathsGen,
+		Paths:           len(s.index),
 		StatsFolded:     s.folded,
 	}, true
 }
 
-// fresh reports whether the snapshot still matches the live collections.
-func (e *Engine) fresh(s *snapshot) bool {
-	return s.statsGen == e.stats.Generation() && s.pathsGen == e.paths.Generation()
+// Version reports the refresh that last changed what the engine serves for
+// serverID, refreshing first like a Select would. A response computed after
+// this call comes from the same or a later snapshot, so a cache that stores
+// it under the version can serve it for as long as Version returns the same
+// number: the body may be newer than its label, never older. ok is false
+// when the destination has no paths here or the refresh failed.
+func (e *Engine) Version(ctx context.Context, serverID int) (version int64, ok bool) {
+	snap, err := e.snapshotFor(ctx)
+	if err != nil {
+		return 0, false
+	}
+	d, ok := snap.servers[serverID]
+	return d.version, ok
 }
 
-// snapshotFor returns a serving snapshot, refreshing first when the backing
-// collections have moved. The ctx matters only when this request ends up
-// performing or waiting for a refresh.
+// snapshotFor returns a serving snapshot no older than the generation pair
+// read on entry — every write that returned before the request began is in
+// it (read-your-writes). The request leads the refresh, or waits for the one
+// in flight and checks again: a flight that began before the request's write
+// does not cover it.
 func (e *Engine) snapshotFor(ctx context.Context) (*snapshot, error) {
-	if s := e.current.Load(); s != nil && e.fresh(s) {
+	pathsGen, statsGen := e.paths.Generation(), e.stats.Generation()
+	covers := func(s *snapshot) bool {
+		return s != nil && s.pathsGen >= pathsGen && s.statsGen >= statsGen
+	}
+	if s := e.current.Load(); covers(s) {
 		return s, nil
 	}
-	return e.refresh(ctx)
-}
-
-// refresh elects one leader to rebuild or fold; concurrent callers that
-// already have a previous snapshot are served it immediately (bounded
-// staleness), and cold-start callers wait for the leader.
-func (e *Engine) refresh(ctx context.Context) (*snapshot, error) {
-	stale := e.current.Load()
-	e.mu.Lock()
-	if s := e.current.Load(); s != nil && e.fresh(s) {
+	waited := false
+	for {
+		e.mu.Lock()
+		if s := e.current.Load(); covers(s) {
+			e.mu.Unlock()
+			return s, nil // refreshed while we queued on the mutex, or by the flight we waited for
+		}
+		f := e.inflight
+		if f == nil {
+			f = &refreshFlight{done: make(chan struct{})}
+			e.inflight = f
+			e.mu.Unlock()
+			// The flight begins after the entry read, so its result covers it.
+			return e.lead(f)
+		}
 		e.mu.Unlock()
-		return s, nil // someone refreshed while we queued on the mutex
-	}
-	if f := e.inflight; f != nil {
-		e.mu.Unlock()
-		if stale != nil {
+		if !waited {
+			waited = true
 			e.coalesced.Add(1)
-			return stale, nil
 		}
 		select {
 		case <-f.done:
 			if f.err != nil {
 				return nil, f.err
 			}
-			return f.snap, nil
 		case <-ctx.Done():
 			return nil, fmt.Errorf("selection: select cancelled: %w", ctx.Err())
 		}
 	}
-	f := &refreshFlight{done: make(chan struct{})}
-	e.inflight = f
-	e.mu.Unlock()
+}
 
-	f.snap, f.err = e.rebuildOrFold(e.current.Load())
-	if f.err == nil {
-		e.current.Store(f.snap)
+// lead runs the refresh this request was elected for and publishes it.
+// Flights are serial and each builds on the published snapshot, so what the
+// engine hands out only ever moves forward.
+func (e *Engine) lead(f *refreshFlight) (*snapshot, error) {
+	snap, err := e.rebuildOrFold(e.current.Load())
+	if err == nil {
+		e.current.Store(snap)
 	}
+	f.err = err
 	e.mu.Lock()
 	e.inflight = nil
 	e.mu.Unlock()
 	close(f.done)
-	return f.snap, f.err
-}
-
-// rebuildOrFold refreshes from prev: incrementally when the paths
-// catalogue is unchanged and no stats document was rewritten or removed,
-// from scratch otherwise.
-func (e *Engine) rebuildOrFold(prev *snapshot) (*snapshot, error) {
-	// Stamp the generations before reading any data: writes landing
-	// mid-read get folded in but labelled stale, so the next request
-	// revalidates (cheaply, finding nothing new) instead of a write being
-	// silently attributed to an older generation.
-	pathsGen := e.paths.Generation()
-	statsGen := e.stats.Generation()
-	statsRW := e.stats.RewriteGeneration()
-	if prev != nil && prev.pathsGen == pathsGen && prev.statsRW == statsRW {
-		if next := e.foldInto(prev, statsGen); next != nil {
-			e.folds.Add(1)
-			return next, nil
-		}
-		// A stats document arrived below the high-water mark (out-of-order
-		// writer, e.g. a resumed parallel campaign): fall through.
-	}
-	snap, err := e.rebuild(pathsGen, statsGen, statsRW)
-	if err == nil {
-		e.rebuilds.Add(1)
-	}
 	return snap, err
 }
 
-// foldInto clones prev copy-on-write and folds only the stats documents
-// newer than prev's high-water mark. It returns nil when it detects that a
-// document landed below the mark (the caller must rebuild).
-func (e *Engine) foldInto(prev *snapshot, statsGen int64) *snapshot {
-	next := &snapshot{
-		pathsGen:  prev.pathsGen,
-		statsGen:  statsGen,
-		statsRW:   prev.statsRW,
-		highWater: prev.highWater,
-		servers:   make(map[int][]*pathAgg, len(prev.servers)),
-		byPath:    make(map[string]*pathAgg, len(prev.byPath)),
-	}
-	for sid, aggs := range prev.servers {
-		cloned := make([]*pathAgg, len(aggs))
-		for i, a := range aggs {
-			cp := *a // sums copied; identity slices shared (immutable)
-			cloned[i] = &cp
-			next.byPath[cp.id.PathID] = cloned[i]
+// rebuildOrFold refreshes from prev: by folding the documents stored since
+// prev's cursor when the paths catalogue is unchanged and no stats document
+// was rewritten or removed, from an empty catalogue otherwise. What it
+// returns is the database at one instant — the one at which fold read the
+// stats collection: the paths generation is stamped before the catalogue is
+// looked at and checked again afterwards, and a refresh that a paths write
+// raced is redone.
+func (e *Engine) rebuildOrFold(prev *snapshot) (*snapshot, error) {
+	for {
+		pathsGen := e.paths.Generation()
+		next, err := e.refreshAt(prev, pathsGen)
+		if err != nil || e.paths.Generation() == pathsGen {
+			return next, err
 		}
-		next.servers[sid] = cloned
 	}
+}
 
-	// Count first, then fold: documents inserted between the two reads are
-	// folded anyway and only make the check conservative (folded >= count).
-	count := e.stats.Count()
-	var filter docdb.Filter
-	if prev.folded > 0 {
-		filter = docdb.Gte(measure.FTimestamp, prev.highWater)
+// refreshAt is one attempt at the paths generation the caller stamped.
+func (e *Engine) refreshAt(prev *snapshot, pathsGen int64) (*snapshot, error) {
+	var seq int64
+	if prev != nil {
+		if seq = prev.seq; prev.pathsGen == pathsGen {
+			if next := e.fold(prev); next.statsRW == prev.statsRW {
+				e.folds.Add(1)
+				return next, nil
+			}
+			// A rewrite moved the documents under the cursor: next is void.
+		}
 	}
-	hw, atHW, folded := e.foldStats(next.byPath, filter, prev.frontier, prev.highWater)
-	next.folded = prev.folded + folded
-	if next.folded < count {
-		return nil // an out-of-order write slipped below the high-water mark
+	base, err := e.catalogue(pathsGen, seq)
+	if err != nil {
+		return nil, err
 	}
-	next.highWater = hw
-	next.frontier = mergeFrontier(prev.frontier, prev.highWater, hw, atHW)
+	e.rebuilds.Add(1)
+	return e.fold(base), nil
+}
+
+// fold returns prev plus the stats documents stored at or after its cursor,
+// in storage order (so the floating-point sums are the ones a from-scratch
+// pass produces, whatever the documents' timestamps). prev is not modified:
+// a destination's pointer slice is copied when the first document for it
+// arrives, an aggregate when the first document for that path does; a batch
+// for destinations this engine does not own costs one map miss per document.
+// The result carries the RewriteGeneration the cursor read; it continues
+// prev only if that equals prev's.
+func (e *Engine) fold(prev *snapshot) *snapshot {
+	next := &snapshot{seq: prev.seq + 1, pathsGen: prev.pathsGen, folded: prev.folded,
+		index: prev.index, servers: prev.servers}
+	touched := map[int][]*pathAgg{}
+	next.cursor, next.statsGen, next.statsRW = e.stats.ForEachSince(prev.cursor, func(d docdb.Document) {
+		next.folded++
+		pid, _ := d[measure.FPathID].(string)
+		loc, ok := prev.index[pid]
+		if !ok {
+			return
+		}
+		was := prev.servers[loc.server].aggs
+		aggs := touched[loc.server]
+		if aggs == nil {
+			aggs = slices.Clone(was)
+			touched[loc.server] = aggs
+		}
+		if aggs[loc.slot] == was[loc.slot] {
+			cp := *was[loc.slot] // sums copied; identity slices shared (immutable)
+			aggs[loc.slot] = &cp
+		}
+		aggs[loc.slot].fold(d)
+	})
+	if len(touched) > 0 {
+		next.servers = maps.Clone(prev.servers)
+		for sid, aggs := range touched {
+			next.servers[sid] = destAggs{version: next.seq, aggs: aggs}
+		}
+	}
 	return next
 }
 
-// rebuild computes a snapshot from scratch: decode the full paths
-// catalogue, annotate it once, then fold the entire stats history in one
-// storage-order pass.
-func (e *Engine) rebuild(pathsGen, statsGen, statsRW int64) (*snapshot, error) {
+// catalogue decodes the paths collection and annotates it once: a snapshot
+// with empty aggregates and cursor 0 for fold to fill, every destination
+// stamped with the version fold is about to give the result.
+func (e *Engine) catalogue(pathsGen, seq int64) (*snapshot, error) {
 	pds, err := measure.AllPaths(e.db)
 	if err != nil {
 		return nil, err
 	}
 	snap := &snapshot{
+		seq:      seq,
 		pathsGen: pathsGen,
-		statsGen: statsGen,
-		statsRW:  statsRW,
-		servers:  make(map[int][]*pathAgg),
-		byPath:   make(map[string]*pathAgg, len(pds)),
+		index:    make(map[string]pathLoc, len(pds)),
+		servers:  make(map[int]destAggs),
 	}
 	for i := range pds {
 		pd := &pds[i]
 		if e.owns != nil && !e.owns(pd.ServerID) {
-			// A sharded engine keeps only its own destinations: the
-			// annotation below and every later COW clone scale with the
-			// shard's share of the catalogue, not with the whole of it.
-			// foldStats still counts the skipped paths' stats documents
-			// (folded++ is unconditional), so the out-of-order-write
-			// detection arithmetic in foldInto keeps working unchanged.
+			// A sharded engine keeps only its own destinations: annotation,
+			// index and every later fold scale with the shard's share of the
+			// catalogue, not with the whole of it.
 			continue
 		}
 		agg := &pathAgg{id: Candidate{
@@ -347,66 +388,11 @@ func (e *Engine) rebuild(pathsGen, statsGen, statsRW int64) (*snapshot, error) {
 		e.annotateGeo(&agg.id)
 		agg.hops = e.hopMetas(pd.Sequence)
 		agg.links, agg.transit = overlapKeys(agg.hops)
-		snap.servers[pd.ServerID] = append(snap.servers[pd.ServerID], agg)
-		snap.byPath[pd.ID] = agg
-	}
-	hw, atHW, folded := e.foldStats(snap.byPath, nil, nil, math.MinInt64)
-	snap.folded = folded
-	snap.highWater = hw
-	snap.frontier = make(map[string]struct{}, len(atHW))
-	for _, id := range atHW {
-		snap.frontier[id] = struct{}{}
+		d := snap.servers[pd.ServerID]
+		snap.index[pd.ID] = pathLoc{server: pd.ServerID, slot: len(d.aggs)}
+		snap.servers[pd.ServerID] = destAggs{version: seq + 1, aggs: append(d.aggs, agg)}
 	}
 	return snap, nil
-}
-
-// foldStats streams matching stats documents zero-copy in storage order,
-// folding each into its path aggregate and tracking the high-water
-// timestamp. skip holds already-folded _ids at the previous high-water
-// mark. It returns the new high-water mark, the _ids folded at it this
-// pass, and how many documents were folded.
-func (e *Engine) foldStats(byPath map[string]*pathAgg, filter docdb.Filter,
-	skip map[string]struct{}, highWater int64) (hw int64, atHW []string, folded int) {
-	hw = highWater
-	e.stats.ForEach(docdb.Query{Filter: filter}, func(d docdb.Document) bool {
-		id := d.ID()
-		if _, dup := skip[id]; dup {
-			return true
-		}
-		if pid, ok := d[measure.FPathID].(string); ok {
-			if agg := byPath[pid]; agg != nil {
-				agg.fold(d)
-			}
-		}
-		folded++
-		if ts, ok := num(d[measure.FTimestamp]); ok {
-			switch t := int64(ts); {
-			case t > hw:
-				hw = t
-				atHW = append(atHW[:0], id)
-			case t == hw:
-				atHW = append(atHW, id)
-			}
-		}
-		return true
-	})
-	return hw, atHW, folded
-}
-
-// mergeFrontier computes the next frontier set: when the high-water mark
-// advanced, only this pass's ids at the new mark matter; when it did not,
-// the previous frontier still guards against re-folding.
-func mergeFrontier(prev map[string]struct{}, prevHW, hw int64, atHW []string) map[string]struct{} {
-	out := make(map[string]struct{}, len(atHW))
-	if hw == prevHW {
-		for id := range prev {
-			out[id] = struct{}{}
-		}
-	}
-	for _, id := range atHW {
-		out[id] = struct{}{}
-	}
-	return out
 }
 
 // hopMetas precomputes the exclusion-filter view of a path's hops.

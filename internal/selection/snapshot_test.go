@@ -2,11 +2,15 @@ package selection
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/upin/scionpath/internal/docdb"
 	"github.com/upin/scionpath/internal/measure"
@@ -20,6 +24,14 @@ import (
 // (timestamps included). It returns the engine, the db, and the ids of
 // servers that have at least one collected path.
 func collectedWorld(t testing.TB, seed int64) (*Engine, *docdb.DB, []int) {
+	t.Helper()
+	e, db, ids, _ := collectedWorldDaemon(t, seed)
+	return e, db, ids
+}
+
+// collectedWorldDaemon also hands back the daemon, for tests that collect
+// the paths again.
+func collectedWorldDaemon(t testing.TB, seed int64) (*Engine, *docdb.DB, []int, *sciond.Daemon) {
 	t.Helper()
 	topo := topology.DefaultWorld()
 	net := simnet.New(topo, simnet.Options{Seed: seed})
@@ -51,13 +63,13 @@ func collectedWorld(t testing.TB, seed int64) (*Engine, *docdb.DB, []int) {
 	if len(ids) == 0 {
 		t.Fatal("no server has collected paths")
 	}
-	return New(db, topo), db, ids
+	return New(db, topo), db, ids, d
 }
 
 // statsWriter synthesises paths_stats documents in the measurement suite's
 // shape, with test-controlled timestamps: in-order (the steady-state
-// campaign), at the high-water mark (equal-timestamp batches), and
-// out-of-order (a resumed parallel campaign backfilling history).
+// campaign), equal (several documents per millisecond), out-of-order (a
+// resumed parallel campaign backfilling history) and absent.
 type statsWriter struct {
 	col      *docdb.Collection
 	pathIDs  []string
@@ -65,7 +77,9 @@ type statsWriter struct {
 	r        *rand.Rand
 	seq      int
 	nowMs    int64
-	live     []string // inserted _ids still present (for update/delete)
+	live     []string // inserted _ids still present, in storage order
+	// noTimestamps makes doc drop timestamp_ms from some documents.
+	noTimestamps bool
 }
 
 func newStatsWriter(t testing.TB, db *docdb.DB, seed int64) *statsWriter {
@@ -104,6 +118,9 @@ func (w *statsWriter) doc(pathID string, ts int64) docdb.Document {
 		d[measure.FBwUpMTU] = 1e6 + w.r.Float64()*1e8
 		d[measure.FBwDownMTU] = 1e6 + w.r.Float64()*1e8
 	}
+	if w.noTimestamps && w.r.Intn(6) == 0 {
+		delete(d, measure.FTimestamp) // refresh is by arrival: no field it needs
+	}
 	return d
 }
 
@@ -116,19 +133,18 @@ func (w *statsWriter) insert(t testing.TB, d docdb.Document) {
 }
 
 // insertInOrder appends n documents at monotonically non-decreasing
-// timestamps; a zero stride exercises the frontier (several documents
-// sharing the high-water mark).
+// timestamps; a zero stride puts several documents on one millisecond.
 func (w *statsWriter) insertInOrder(t testing.TB, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		w.nowMs += int64(w.r.Intn(3)) // 0 → duplicate high-water timestamp
+		w.nowMs += int64(w.r.Intn(3)) // 0 → duplicate timestamp
 		pid := w.pathIDs[w.r.Intn(len(w.pathIDs))]
 		w.insert(t, w.doc(pid, w.nowMs))
 	}
 }
 
 // insertOutOfOrder backfills n documents strictly below the current
-// maximum timestamp, which must force the next refresh to rebuild.
+// maximum timestamp: to the arrival cursor, an append like any other.
 func (w *statsWriter) insertOutOfOrder(t testing.TB, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -147,6 +163,43 @@ func (w *statsWriter) updateRandom(t testing.TB) {
 	w.col.Update(docdb.Eq("_id", id), docdb.Document{
 		measure.FLoss: float64(w.r.Intn(200)) / 10,
 	})
+}
+
+// upsertReplace rewrites one stored document in place (same _id, same
+// storage position, new values) and appends one new document in the same
+// batch — what a resumed campaign cell's idempotent write does.
+func (w *statsWriter) upsertReplace(t testing.TB) {
+	t.Helper()
+	if len(w.live) == 0 {
+		return
+	}
+	id := w.live[w.r.Intn(len(w.live))]
+	again := w.doc(w.col.Get(id)[measure.FPathID].(string), w.nowMs)
+	again["_id"] = id
+	fresh := w.doc(w.pathIDs[w.r.Intn(len(w.pathIDs))], w.nowMs)
+	if n, err := w.col.UpsertMany([]docdb.Document{again, fresh}); err != nil || n != 1 {
+		t.Fatalf("upsert replaced %d documents, err %v", n, err)
+	}
+	w.live = append(w.live, fresh.ID())
+}
+
+// deleteOldest removes the first 60% of the stored documents in one Delete:
+// interior tombstones outnumber the survivors, so docdb squeezes the slice
+// and every surviving document changes storage position.
+func (w *statsWriter) deleteOldest(t testing.TB) {
+	t.Helper()
+	n := len(w.live) * 6 / 10
+	if n == 0 {
+		return
+	}
+	doomed := make([]any, n)
+	for i, id := range w.live[:n] {
+		doomed[i] = id
+	}
+	if got := w.col.Delete(docdb.In("_id", doomed...)); got != n {
+		t.Fatalf("deleted %d documents, want %d", got, n)
+	}
+	w.live = append([]string(nil), w.live[n:]...)
 }
 
 func (w *statsWriter) deleteRandom(t testing.TB) {
@@ -183,7 +236,7 @@ func buildPool(t testing.TB, e *Engine, ids []int) exclusionPool {
 		t.Fatal(err)
 	}
 	for _, sid := range ids {
-		for _, agg := range snap.servers[sid] {
+		for _, agg := range snap.servers[sid].aggs {
 			for _, isd := range agg.id.ISDs {
 				add(&p.isds, "i", isd)
 			}
@@ -232,31 +285,45 @@ func randomRequest(r *rand.Rand, p exclusionPool) Request {
 
 // TestSnapshotOracleRandomized is the correctness oracle: across 1000
 // randomized interleavings of in-order writes, out-of-order backfills,
-// updates, deletes, and reads, the snapshot-served Select must be
-// deep-equal to the uncached engine recomputed from scratch, and a
-// SelectTop at a random k to the first k of it.
+// documents without a timestamp, updates, upsert replacements, single and
+// squeezing deletes, and reads, the snapshot-served Select must be
+// deep-equal to the uncached engine recomputed from scratch, a SelectTop at
+// a random k to the first k of it, and an owner-filtered engine over the
+// same database to both for the destinations it owns.
 func TestSnapshotOracleRandomized(t *testing.T) {
 	e, db, ids := collectedWorld(t, 7)
+	owns := func(id int) bool { return id%2 == 0 }
+	owned := New(db, e.topo, WithServerOwner(owns))
 	w := newStatsWriter(t, db, 7)
+	w.noTimestamps = true
 	w.insertInOrder(t, 10)
 	pool := buildPool(t, e, ids)
 	r := rand.New(rand.NewSource(77))
 	ctx := context.Background()
+	if _, err := owned.snapshotFor(ctx); err != nil { // both engines start built
+		t.Fatal(err)
+	}
 
 	shapes := 1000
 	if testing.Short() {
 		shapes = 100
 	}
 	for i := 0; i < shapes; i++ {
-		switch r.Intn(10) {
-		case 0, 1, 2, 3, 4:
+		switch r.Intn(24) {
+		case 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11:
 			w.insertInOrder(t, 1+r.Intn(4))
-		case 5:
+		case 12, 13, 14:
 			w.insertOutOfOrder(t, 1+r.Intn(2))
-		case 6:
+		case 15, 16:
 			w.updateRandom(t)
-		case 7:
+		case 17, 18:
 			w.deleteRandom(t)
+		case 19, 20:
+			w.upsertReplace(t)
+		case 21:
+			if i%4 == 0 { // rarely: it takes most of the history with it
+				w.deleteOldest(t)
+			}
 		default: // read-only round: snapshot must already be converged
 		}
 		sid := ids[r.Intn(len(ids))]
@@ -269,6 +336,15 @@ func TestSnapshotOracleRandomized(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("shape %d server %d req %+v:\ncached   %+v\nuncached %+v",
 				i, sid, req, got, want)
+		}
+		switch part, perr := owned.Select(ctx, sid, req); {
+		case !owns(sid):
+			if perr == nil || !strings.Contains(perr.Error(), "no collected paths") {
+				t.Fatalf("shape %d server %d: owner-filtered engine answered for a foreign destination: %v", i, sid, perr)
+			}
+		case (perr == nil) != (werr == nil) || !reflect.DeepEqual(part, want):
+			t.Fatalf("shape %d server %d req %+v:\nowner-filtered %+v (%v)\nuncached       %+v (%v)",
+				i, sid, req, part, perr, want, werr)
 		}
 		if werr != nil {
 			continue
@@ -285,13 +361,20 @@ func TestSnapshotOracleRandomized(t *testing.T) {
 				i, sid, req, k, top, want)
 		}
 	}
+	if r, f := e.rebuilds.Load(), e.folds.Load(); r < int64(shapes/10) || f < int64(shapes/4) {
+		t.Fatalf("step mix exercised only %d rebuilds and %d folds", r, f)
+	}
+	if r, f := owned.rebuilds.Load(), owned.folds.Load(); r != e.rebuilds.Load() || f != e.folds.Load() {
+		t.Fatalf("owner-filtered engine refreshed %d/%d times, the full one %d/%d",
+			r, f, e.rebuilds.Load(), e.folds.Load())
+	}
 }
 
-// TestSnapshotIncrementalRefresh pins the refresh strategy: in-order
-// writes fold incrementally; out-of-order writes, stats rewrites, and
-// paths-catalogue changes force a full rebuild.
+// TestSnapshotIncrementalRefresh pins the refresh strategy: appended stats
+// documents fold, whatever their timestamps; a stats rewrite or removal and
+// a paths-catalogue change each force exactly one full rebuild.
 func TestSnapshotIncrementalRefresh(t *testing.T) {
-	e, db, ids := collectedWorld(t, 3)
+	e, db, ids, daemon := collectedWorldDaemon(t, 3)
 	w := newStatsWriter(t, db, 3)
 	w.insertInOrder(t, 20)
 	ctx := context.Background()
@@ -305,16 +388,15 @@ func TestSnapshotIncrementalRefresh(t *testing.T) {
 		if r, f := e.rebuilds.Load(), e.folds.Load(); r != wantRebuilds || f != wantFolds {
 			t.Fatalf("%s: rebuilds/folds = %d/%d, want %d/%d", stage, r, f, wantRebuilds, wantFolds)
 		}
-		got, err := e.Select(ctx, sid, Request{})
-		if err != nil {
-			t.Fatalf("%s: %v", stage, err)
+		for _, id := range ids {
+			got, gerr := e.Select(ctx, id, Request{})
+			want, werr := e.selectUncached(ctx, id, Request{})
+			if (gerr == nil) != (werr == nil) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: server %d: cached diverged from uncached (%v / %v)", stage, id, gerr, werr)
+			}
 		}
-		want, err := e.selectUncached(ctx, sid, Request{})
-		if err != nil {
-			t.Fatalf("%s: %v", stage, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: cached diverged from uncached", stage)
+		if info, _ := e.SnapshotInfo(); info.GenerationLag != 0 {
+			t.Fatalf("%s: generation lag %d right after a select", stage, info.GenerationLag)
 		}
 	}
 
@@ -322,24 +404,53 @@ func TestSnapshotIncrementalRefresh(t *testing.T) {
 	check("fresh re-read", 1, 0) // no data moved: no refresh at all
 
 	w.insertInOrder(t, 5)
+	if info, _ := e.SnapshotInfo(); info.GenerationLag <= 0 {
+		t.Fatalf("generation lag %d with five writes unfolded", info.GenerationLag)
+	}
 	check("in-order batch", 1, 1)
-	w.insertInOrder(t, 1) // stride may be 0: high-water duplicate
+	w.insertInOrder(t, 1) // stride may be 0: duplicate timestamp
 	check("second batch", 1, 2)
 
-	w.insertOutOfOrder(t, 1)
-	check("out-of-order backfill", 2, 2)
+	w.insertOutOfOrder(t, 3)
+	check("out-of-order backfill", 1, 3) // an append like any other
+	w.noTimestamps = true
+	w.insertInOrder(t, 12)
+	check("documents without timestamp_ms", 1, 4)
 
 	w.updateRandom(t)
-	check("stats rewrite", 3, 2)
+	check("stats rewrite", 2, 4)
 
 	w.deleteRandom(t)
-	check("stats delete", 4, 2)
+	check("stats delete", 3, 4)
 
-	// A paths-catalogue change (re-collection) invalidates identity and
-	// geo annotations, not just sums: full rebuild.
+	w.upsertReplace(t)
+	check("upsert replacement", 4, 4)
+
+	before := e.current.Load().cursor
+	w.deleteOldest(t)
+	check("squeezing delete", 5, 4)
+	if after := e.current.Load().cursor; after >= before/2 {
+		t.Fatalf("cursor %d -> %d: the delete was meant to squeeze the collection", before, after)
+	}
+	w.insertOutOfOrder(t, 2)
+	check("fold after the squeeze", 5, 5)
+
+	if n, err := measure.PruneStats(db, time.Duration(w.nowMs-5)*time.Millisecond); err != nil || n == 0 {
+		t.Fatalf("PruneStats removed %d documents, err %v", n, err)
+	}
+	check("prune", 6, 5)
+
+	// A paths-catalogue change invalidates identity and geo annotations, not
+	// just sums: full rebuild, for an in-place update and for a re-collection.
 	db.Collection(measure.ColPaths).Update(docdb.Eq(measure.FServerID, sid),
 		docdb.Document{measure.FStatus: "refreshed"})
-	check("paths change", 5, 2)
+	check("paths change", 7, 5)
+	if _, err := measure.CollectPaths(ctx, db, daemon, measure.CollectOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	check("paths collected again", 8, 5)
+	w.insertInOrder(t, 2)
+	check("fold on the new catalogue", 8, 6)
 }
 
 // TestSnapshotSingleflightRefresh pins request coalescing: a burst of
@@ -458,8 +569,7 @@ func TestSnapshotServeWhileWriting(t *testing.T) {
 	}
 
 	// Quiescent convergence: one more select per server must match the
-	// uncached engine exactly (the count-check repairs any write the
-	// concurrent folds were one round late on).
+	// uncached engine exactly.
 	for _, id := range ids {
 		got, err := e.Select(ctx, id, Request{})
 		if err != nil {
@@ -472,5 +582,164 @@ func TestSnapshotServeWhileWriting(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("server %d: post-write snapshot diverged from uncached engine", id)
 		}
+	}
+}
+
+// TestSnapshotReadYourWrites pins the refresh rule (run it under -race): a
+// Select that starts after a write returned reflects that write, even when
+// another request's refresh — begun before the write — is in flight; it
+// waits for that flight, finds it does not cover the write and refreshes
+// again; a cancelled context releases the wait. On an engine that hands a
+// losing request the previous snapshot all three legs fail.
+func TestSnapshotReadYourWrites(t *testing.T) {
+	e, db, ids := collectedWorld(t, 13)
+	w := newStatsWriter(t, db, 13)
+	w.insertInOrder(t, 40)
+	stats := db.Collection(measure.ColStats)
+	ctx := context.Background()
+	sid := ids[0]
+	var sentinel string // a path of sid; the test counts its samples
+	for _, pid := range w.pathIDs {
+		if w.serverOf[pid] == sid {
+			sentinel = pid
+			break
+		}
+	}
+	samples := func(ctx context.Context) (int, error) {
+		cands, err := e.Select(ctx, sid, Request{})
+		for _, c := range cands {
+			if c.PathID == sentinel {
+				return c.Samples, err
+			}
+		}
+		return 0, err
+	}
+	write := func() {
+		w.nowMs++
+		if err := stats.InsertMany([]docdb.Document{w.doc(sentinel, w.nowMs)}); err != nil {
+			t.Error(err)
+		}
+	}
+	write()
+	have, err := samples(ctx)
+	if err != nil || have == 0 {
+		t.Fatalf("sentinel %s served with %d samples, err %v", sentinel, have, err)
+	}
+
+	// A refresh that began before the write and publishes nothing newer,
+	// staged by hand so the interleaving is the same on every run.
+	stage := func() *refreshFlight {
+		f := &refreshFlight{done: make(chan struct{})}
+		e.mu.Lock()
+		e.inflight = f
+		e.mu.Unlock()
+		return f
+	}
+	land := func(f *refreshFlight) {
+		e.mu.Lock()
+		e.inflight = nil
+		e.mu.Unlock()
+		close(f.done)
+	}
+
+	f := stage()
+	write()
+	got := make(chan int, 1)
+	go func() {
+		n, err := samples(ctx)
+		if err != nil {
+			t.Error(err)
+		}
+		got <- n
+	}()
+	select {
+	case n := <-got:
+		land(f)
+		t.Fatalf("a select begun after the write returned was answered during another request's refresh with %d samples, want %d", n, have+1)
+	case <-time.After(20 * time.Millisecond): // waiting, as it must
+	}
+	_, _, coalesced := e.Counters()
+	if coalesced != 1 {
+		t.Fatalf("coalesced = %d with one request waiting", coalesced)
+	}
+	land(f)
+	if n := <-got; n != have+1 {
+		t.Fatalf("after the stale flight landed: %d samples, want %d", n, have+1)
+	}
+
+	f = stage()
+	write()
+	cctx, cancel := context.WithCancel(ctx)
+	failed := make(chan error, 1)
+	go func() {
+		_, err := samples(cctx)
+		failed <- err
+	}()
+	cancel()
+	select {
+	case err := <-failed:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled waiter returned %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a cancelled context did not release the waiter")
+	}
+	land(f)
+
+	// Free-running: one writer, four readers, every flight real.
+	var written atomic.Int64 // sentinel samples whose InsertMany has returned
+	written.Store(int64(have + 2))
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var lastGen int64
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				floor := written.Load()
+				n, err := samples(ctx)
+				if err != nil {
+					t.Errorf("select: %v", err)
+					return
+				}
+				if int64(n) < floor {
+					t.Errorf("select served %d samples; %d were stored before it began", n, floor)
+					return
+				}
+				info, _ := e.SnapshotInfo()
+				if info.StatsGeneration < lastGen || info.StatsGeneration > stats.Generation() {
+					t.Errorf("snapshot generation %d after %d, collection at %d",
+						info.StatsGeneration, lastGen, stats.Generation())
+					return
+				}
+				lastGen = info.StatsGeneration
+			}
+		}()
+	}
+	for round := 0; round < 400 && !t.Failed(); round++ {
+		write()
+		written.Add(1)
+		if round%7 == 0 {
+			w.insertOutOfOrder(t, 2)
+		}
+	}
+	close(stop)
+	readers.Wait()
+	// The backfills draw random paths, the sentinel among them: at least.
+	if n, err := samples(ctx); err != nil || int64(n) < written.Load() {
+		t.Fatalf("quiescent: %d samples, err %v, want >= %d", n, err, written.Load())
+	}
+	got2, _ := e.Select(ctx, sid, Request{})
+	if want, _ := e.selectUncached(ctx, sid, Request{}); !reflect.DeepEqual(got2, want) {
+		t.Fatal("quiescent: snapshot diverged from the uncached engine")
+	}
+	if r := e.rebuilds.Load(); r != 1 {
+		t.Fatalf("%d rebuilds: appends, in or out of timestamp order, must fold", r)
 	}
 }

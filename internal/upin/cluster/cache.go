@@ -6,26 +6,22 @@ import (
 	"sync"
 )
 
-// genPair stamps a cached response with the collection generations it was
-// computed at; a write to either collection makes the entry stale.
-type genPair struct {
-	paths, stats int64
-}
-
+// entry is one cached 200 response and the destination version (see
+// selection.Engine.Version) it was filed under.
 type entry struct {
-	status int
-	body   []byte
+	version int64
+	body    []byte
 }
 
-// respCache is one shard's response cache for GET /api/paths. Entries
-// are keyed by the raw query string and validated against the current
-// generation pair on every hit, so it can never serve across a write —
-// the cost of a write is simply that the next request per key recomputes.
+// respCache is one shard's response cache for GET /api/paths and
+// /api/pathset. Entries are keyed by URL path plus raw query and are valid
+// while the version they were filed under is still the destination's: a
+// write for destination D ages out D's entries only, each replaced in place
+// by the next request for its key. There is no table-wide invalidation.
 type respCache struct {
 	max int // immutable; 0 disables the cache
 
 	mu      sync.Mutex
-	gen     genPair          // guarded by mu
 	entries map[string]entry // guarded by mu
 }
 
@@ -36,32 +32,19 @@ func newRespCache(max int) *respCache {
 	return &respCache{max: max, entries: make(map[string]entry)}
 }
 
-func (c *respCache) get(key string, gen genPair) (entry, bool) {
-	if c == nil {
-		return entry{}, false
-	}
+func (c *respCache) get(key string, version int64) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.gen != gen {
-		return entry{}, false
-	}
 	e, ok := c.entries[key]
-	return e, ok
+	return e.body, ok && e.version == version
 }
 
-func (c *respCache) put(key string, gen genPair, e entry) {
-	if c == nil {
-		return
-	}
+func (c *respCache) put(key string, e entry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.gen != gen {
-		// A write landed since this shard's last fill: every cached body
-		// is stale. Restart the table at the new generation pair.
-		c.gen = gen
-		c.entries = make(map[string]entry)
-	}
-	if len(c.entries) >= c.max {
+	if _, held := c.entries[key]; !held && len(c.entries) >= c.max {
+		// Full, and this key is new: start over. Refreshing a key the table
+		// already holds never costs the other entries.
 		c.entries = make(map[string]entry)
 	}
 	c.entries[key] = e

@@ -53,9 +53,11 @@ type Config struct {
 	// X-Client-ID header, falling back to the remote address.
 	RatePerSec float64
 	Burst      float64
-	// CacheEntries bounds each shard's response cache (0 = caching
-	// disabled). Entries are invalidated by collection generation, so a
-	// write to paths or stats drops every stale answer at once.
+	// CacheEntries bounds each shard's response cache for GET /api/paths
+	// and /api/pathset (0 = caching disabled). An entry is valid while its
+	// destination's version — the engine refresh that last changed that
+	// destination — stands: a stats write ages out only the answers for the
+	// destinations it measured.
 	CacheEntries int
 }
 
@@ -78,7 +80,6 @@ type shard struct {
 // Router is the tier entry point; it implements http.Handler.
 type Router struct {
 	cfg    Config
-	db     *docdb.DB
 	shards []*shard
 	gate   *gate
 	limit  *limiter
@@ -102,7 +103,6 @@ func New(db *docdb.DB, daemon *sciond.Daemon, net *simnet.Network,
 	}
 	r := &Router{
 		cfg:   cfg,
-		db:    db,
 		gate:  newGate(cfg.MaxInflight, cfg.QueueDepth, cfg.QueueTimeout),
 		limit: newLimiter(cfg.RatePerSec, cfg.Burst),
 	}
@@ -188,69 +188,74 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
-	dest, ok := r.destination(req)
-	if !ok {
-		// Catalogue-wide endpoints (/api/servers, /api/nodes) read shared
-		// state; any replica answers identically.
-		dest = 0
-	}
-	sh := r.shards[rendezvous(dest, len(r.shards))]
-	r.serveShard(sh, w, req)
+	// Catalogue-wide endpoints (/api/servers, /api/nodes) carry no
+	// destination (0): they read shared state, any replica answers alike.
+	dest := r.destination(req)
+	r.serveShard(r.shards[rendezvous(dest, len(r.shards))], dest, w, req)
 }
 
-// serveShard serves through the shard's response cache when the request
-// is cacheable, otherwise straight through the replica.
-func (r *Router) serveShard(sh *shard, w http.ResponseWriter, req *http.Request) {
-	cacheable := req.URL.Path == "/api/paths" || req.URL.Path == "/api/pathset"
-	if sh.cache == nil || req.Method != http.MethodGet || !cacheable {
-		sh.srv.ServeHTTP(w, req)
-		return
+// serveShard serves GET /api/paths and /api/pathset for a destination the
+// shard knows through its response cache, everything else straight through
+// the replica.
+func (r *Router) serveShard(sh *shard, dest int, w http.ResponseWriter, req *http.Request) {
+	if sh.cache != nil && dest > 0 && req.Method == http.MethodGet &&
+		(req.URL.Path == "/api/paths" || req.URL.Path == "/api/pathset") {
+		// Asked before the lookup, and it refreshes a stale snapshot first:
+		// the version covers every write that returned before this request
+		// arrived, and whatever the replica computes afterwards comes from
+		// the same or a later snapshot. A body may so be newer than the
+		// version it is filed under, never older; a hit is as fresh as a miss.
+		if version, ok := sh.engine.Version(req.Context(), dest); ok {
+			r.serveCached(sh, version, w, req)
+			return
+		}
 	}
-	// Cached answers are valid for exactly one (paths, stats) generation
-	// pair: any write to either collection makes every cached body stale.
-	gen := genPair{
-		paths: r.db.Collection(measure.ColPaths).Generation(),
-		stats: r.db.Collection(measure.ColStats).Generation(),
-	}
+	sh.srv.ServeHTTP(w, req)
+}
+
+// serveCached answers from the shard's cache when it holds the request
+// under the destination's current version, and otherwise files what the
+// replica computes under it.
+func (r *Router) serveCached(sh *shard, version int64, w http.ResponseWriter, req *http.Request) {
 	// The path is part of the key: /api/paths?server=1 and
 	// /api/pathset?server=1 share a query string but not an answer.
 	key := req.URL.Path + "?" + req.URL.RawQuery
-	if e, ok := sh.cache.get(key, gen); ok {
+	if body, ok := sh.cache.get(key, version); ok {
 		r.cacheHits.Add(1)
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Cache", "hit")
-		w.WriteHeader(e.status)
-		_, _ = w.Write(e.body) // client went away; nothing to do
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(body) // client went away; nothing to do
 		return
 	}
 	r.cacheMisses.Add(1)
 	cap := &captureWriter{header: make(http.Header), status: http.StatusOK}
 	sh.srv.ServeHTTP(cap, req)
 	if cap.status == http.StatusOK {
-		sh.cache.put(key, gen, entry{status: cap.status, body: cap.buf.Bytes()})
+		sh.cache.put(key, entry{version: version, body: cap.buf.Bytes()})
 	}
 	copyHeader(w.Header(), cap.header)
 	w.WriteHeader(cap.status)
 	_, _ = w.Write(cap.buf.Bytes()) // client went away; nothing to do
 }
 
-// destination extracts the server id a request targets. For POST
-// /api/intent the body is read and restored, so the shard sees the
-// request unchanged.
-func (r *Router) destination(req *http.Request) (int, bool) {
+// destination extracts the server id a request targets, 0 when it names
+// none. For POST /api/intent the body is read and restored, so the shard
+// sees the request unchanged.
+func (r *Router) destination(req *http.Request) int {
 	switch {
 	case req.URL.Path == "/api/paths" || req.URL.Path == "/api/pathset":
-		id, err := strconv.Atoi(req.URL.Query().Get("server"))
-		return id, err == nil && id > 0
+		if id, err := strconv.Atoi(req.URL.Query().Get("server")); err == nil && id > 0 {
+			return id
+		}
 	case req.URL.Path == "/api/traces":
 		// Path ids are "<serverID>_<index>" (measure.PathID).
 		pid := req.URL.Query().Get("path")
 		if i := strings.IndexByte(pid, '_'); i > 0 {
 			if id, err := strconv.Atoi(pid[:i]); err == nil && id > 0 {
-				return id, true
+				return id
 			}
 		}
-		return 0, false
 	case req.URL.Path == "/api/intent" && req.Method == http.MethodPost:
 		// Peek a bounded prefix — an intent is a small JSON object, so a
 		// body whose server_id is not within the first 64 KiB is not one the
@@ -262,18 +267,14 @@ func (r *Router) destination(req *http.Request) (int, bool) {
 			io.Reader
 			io.Closer
 		}{io.MultiReader(bytes.NewReader(peek), req.Body), req.Body}
-		if err != nil {
-			return 0, false
-		}
 		var probe struct {
 			ServerID int `json:"server_id"`
 		}
-		if json.Unmarshal(peek, &probe) != nil || probe.ServerID < 1 {
-			return 0, false
+		if err == nil && json.Unmarshal(peek, &probe) == nil && probe.ServerID > 0 {
+			return probe.ServerID
 		}
-		return probe.ServerID, true
 	}
-	return 0, false
+	return 0
 }
 
 // Stats is the tier-level counter reading: router totals plus every
@@ -317,6 +318,7 @@ func (r *Router) handleHealth(w http.ResponseWriter) {
 		Shard       int   `json:"shard"`
 		InFlight    int64 `json:"requests_in_flight"`
 		SnapshotGen int64 `json:"snapshot_generation"`
+		SnapshotLag int64 `json:"snapshot_generation_lag"`
 	}
 	doc := struct {
 		Status   string        `json:"status"`
@@ -326,7 +328,7 @@ func (r *Router) handleHealth(w http.ResponseWriter) {
 	for _, sh := range r.shards {
 		s := sh.srv.Stats()
 		doc.PerShard = append(doc.PerShard, shardHealth{
-			Shard: sh.id, InFlight: s.RequestsInFlight, SnapshotGen: s.SnapshotGen,
+			Shard: sh.id, InFlight: s.RequestsInFlight, SnapshotGen: s.SnapshotGen, SnapshotLag: s.GenerationLag,
 		})
 	}
 	writeJSON(w, http.StatusOK, doc)

@@ -36,7 +36,7 @@ func TestDestinationIntentBodies(t *testing.T) {
 
 	// Empty body: no destination, restored body still empty.
 	req := post("")
-	if id, ok := r.destination(req); ok || id != 0 {
+	if id := r.destination(req); id != 0 {
 		t.Errorf("empty body routed to %d", id)
 	}
 	if rest, _ := io.ReadAll(req.Body); len(rest) != 0 {
@@ -47,7 +47,7 @@ func TestDestinationIntentBodies(t *testing.T) {
 	// must see every byte.
 	big := `{"server_id": 3, "pad": "` + strings.Repeat("x", intentPeekBytes) + `"}`
 	req = post(big)
-	if id, ok := r.destination(req); ok || id != 0 {
+	if id := r.destination(req); id != 0 {
 		// The JSON is cut mid-pad at the peek bound, so it cannot parse.
 		t.Errorf("oversized body routed to %d", id)
 	}
@@ -61,8 +61,8 @@ func TestDestinationIntentBodies(t *testing.T) {
 
 	// A normal intent routes and restores.
 	req = post(`{"server_id": 7}`)
-	if id, ok := r.destination(req); !ok || id != 7 {
-		t.Errorf("intent routed to %d (ok=%v), want 7", id, ok)
+	if id := r.destination(req); id != 7 {
+		t.Errorf("intent routed to %d, want 7", id)
 	}
 	if rest, _ := io.ReadAll(req.Body); string(rest) != `{"server_id": 7}` {
 		t.Errorf("intent body not restored: %q", rest)
@@ -72,12 +72,12 @@ func TestDestinationIntentBodies(t *testing.T) {
 func TestDestinationPathSet(t *testing.T) {
 	r := &Router{}
 	req := httptest.NewRequest(http.MethodGet, "/api/pathset?server=5&k=3", nil)
-	if id, ok := r.destination(req); !ok || id != 5 {
-		t.Errorf("pathset routed to %d (ok=%v), want 5", id, ok)
+	if id := r.destination(req); id != 5 {
+		t.Errorf("pathset routed to %d, want 5", id)
 	}
 	req = httptest.NewRequest(http.MethodGet, "/api/pathset?server=abc", nil)
-	if _, ok := r.destination(req); ok {
-		t.Error("non-numeric server routed")
+	if id := r.destination(req); id != 0 {
+		t.Errorf("non-numeric server routed to %d", id)
 	}
 }
 

@@ -145,6 +145,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	}
 	if info, ok := s.engine.SnapshotInfo(); ok {
 		doc["snapshot_generation"] = info.StatsGeneration
+		doc["snapshot_generation_lag"] = info.GenerationLag
 		doc["snapshot_paths"] = info.Paths
 		doc["snapshot_stats_folded"] = info.StatsFolded
 	}
@@ -154,11 +155,15 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 
 // ServingStats is one point-in-time reading of the serving counters. The
 // cluster router aggregates these across shards for its own /api/stats.
+// GenerationLag is how far the collections have moved past the serving
+// snapshot: 0 when current, positive only until the next request, which
+// folds the waiting writes before it is answered.
 type ServingStats struct {
 	RequestsTotal    int64 `json:"requests_total"`
 	RequestsInFlight int64 `json:"requests_in_flight"`
 	UnavailableTotal int64 `json:"unavailable_total"`
 	SnapshotGen      int64 `json:"snapshot_generation"`
+	GenerationLag    int64 `json:"snapshot_generation_lag"`
 	SnapshotPaths    int   `json:"snapshot_paths"`
 	Rebuilds         int64 `json:"snapshot_rebuilds"`
 	Folds            int64 `json:"snapshot_folds"`
@@ -177,6 +182,7 @@ func (s *Server) Stats() ServingStats {
 	st.Rebuilds, st.Folds, st.Coalesced = s.engine.Counters()
 	if info, ok := s.engine.SnapshotInfo(); ok {
 		st.SnapshotGen = info.StatsGeneration
+		st.GenerationLag = info.GenerationLag
 		st.SnapshotPaths = info.Paths
 	}
 	return st

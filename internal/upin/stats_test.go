@@ -43,6 +43,9 @@ func TestServerStats(t *testing.T) {
 	if got.SnapshotPaths == 0 || got.SnapshotGen == 0 {
 		t.Errorf("snapshot fields unset: %+v", got)
 	}
+	if got.GenerationLag != 0 {
+		t.Errorf("snapshot_generation_lag = %d right after a request, want 0", got.GenerationLag)
+	}
 	if got.RequestsInFlight != 0 {
 		t.Errorf("requests_in_flight = %d between requests, want 0", got.RequestsInFlight)
 	}
