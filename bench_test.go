@@ -356,13 +356,11 @@ func BenchmarkCollectPaths(b *testing.B) {
 	}
 }
 
-// BenchmarkCollectPathsRepeat measures the collect stage a campaign re-runs
-// before every round, on a database that already holds every destination's
-// paths: the 1000-AS generated world of bench/'s world B (960 destinations,
-// ~30k stored paths), each destination's paths replaced in turn. The cold
-// collect that populates the database is set-up, not measured. Recorded in
-// BENCH_docdb.json (docs/CAMPAIGN.md "The collect stage").
-func BenchmarkCollectPathsRepeat(b *testing.B) {
+// collectRepeatWorld is the populated database both repeat-collect
+// benchmarks run on: the 1000-AS generated world of bench/'s world B (960
+// destinations, ~30k stored paths) after one cold collect with bench/'s
+// campaign options. Building it is set-up, not measured.
+func collectRepeatWorld(b *testing.B) (*docdb.DB, *sciond.Daemon, measure.CollectOpts, measure.CollectReport) {
 	spec := pathDiscSpec(1000)
 	spec.MultiParentProb = 0.6
 	topo, err := topology.Generate(spec)
@@ -383,16 +381,67 @@ func BenchmarkCollectPathsRepeat(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return db, daemon, opts, cold
+}
+
+// BenchmarkCollectPathsRepeat measures the collect stage a campaign re-runs
+// every round, on a database that already holds every destination's paths
+// and a world where nothing changed: every destination is compared, none is
+// rewritten. Recorded in BENCH_docdb.json (docs/CAMPAIGN.md "The collect
+// stage").
+func BenchmarkCollectPathsRepeat(b *testing.B) {
+	db, daemon, opts, cold := collectRepeatWorld(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rep, err := measure.CollectPaths(context.Background(), db, daemon, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if rep.PathsRetained != cold.PathsRetained || rep.PathsDeleted != 0 {
-			b.Fatalf("repeat collect retained %d deleted %d, cold retained %d",
-				rep.PathsRetained, rep.PathsDeleted, cold.PathsRetained)
+		if rep.PathsRetained != cold.PathsRetained || rep.PathsDeleted != 0 || rep.Rewritten != 0 {
+			b.Fatalf("repeat collect retained %d deleted %d rewrote %d destinations, cold retained %d",
+				rep.PathsRetained, rep.PathsDeleted, rep.Rewritten, cold.PathsRetained)
 		}
+	}
+	b.ReportMetric(float64(cold.PathsRetained), "paths")
+}
+
+// BenchmarkCollectPathsOneChanged is the same repeat collect with one
+// destination's stored documents damaged before every iteration (a
+// different destination each time), so exactly one destination goes through
+// the delete-and-insert: the row shows the stage costs O(what changed), not
+// O(catalogue). Recorded in BENCH_docdb.json beside the row above.
+func BenchmarkCollectPathsOneChanged(b *testing.B) {
+	db, daemon, opts, cold := collectRepeatWorld(b)
+	col := db.Collection(measure.ColPaths)
+	servers, err := measure.Servers(db)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i, next := 0, 0; i < b.N; i++ {
+		// The next destination that has stored paths to damage.
+		for {
+			srv := servers[next%len(servers)]
+			next++
+			if col.Update(docdb.Eq(measure.FServerID, srv.ID), docdb.Document{measure.FStatus: "damaged"}) > 0 {
+				break
+			}
+		}
+		rep, err := measure.CollectPaths(context.Background(), db, daemon, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.PathsRetained != cold.PathsRetained || rep.PathsDeleted != 0 || rep.Rewritten != 1 {
+			b.Fatalf("collect retained %d deleted %d rewrote %d destinations, cold retained %d",
+				rep.PathsRetained, rep.PathsDeleted, rep.Rewritten, cold.PathsRetained)
+		}
+	}
+	b.StopTimer()
+	if n := col.Count(); n != cold.PathsRetained {
+		b.Fatalf("paths holds %d documents, cold collect retained %d", n, cold.PathsRetained)
+	}
+	if n := col.ForEach(docdb.Query{Filter: docdb.Eq(measure.FStatus, "damaged")}, func(docdb.Document) bool { return true }); n != 0 {
+		b.Fatalf("%d damaged documents survived the collect", n)
 	}
 	b.ReportMetric(float64(cold.PathsRetained), "paths")
 }

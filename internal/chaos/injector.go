@@ -77,10 +77,13 @@ func (in *injector) ReplayEntry(n int, op string) bool { return true }
 // backend-aware docdb.TruncateLogTail: up to maxCut bytes off a jsonl
 // journal's tail, the entire uncommitted suffix of every segment shard —
 // but never past the campaign metadata record. Everything before it
-// (server catalogue, collected paths, campaign identity) is written and
-// flushed before the first cell runs, so a real crash cannot lose it, and
-// a resume without it would legitimately restart fresh and re-collect —
-// a different experiment than the one the oracle ran.
+// (server catalogue, the measured destinations' collected paths, campaign
+// identity) is written and flushed before the first cell runs, so a real
+// crash cannot lose it, and a resume without it would legitimately restart
+// fresh and re-collect — a different experiment than the one the oracle
+// ran. The paths of the unmeasured destinations are written after the cells
+// and may be lost, whole or in part; the resumed run's trailing collect
+// re-establishes them.
 func truncateTail(path, campaign string, maxCut int) error {
 	if err := docdb.TruncateLogTail(path, measure.CampaignMetaID(campaign), maxCut); err != nil {
 		return fmt.Errorf("chaos: %w", err)

@@ -41,9 +41,11 @@ type LookupFaults struct {
 // WriteFault fails the Nth write batch to one collection, once.
 type WriteFault struct {
 	// Collection is the target; plans only ever target the statistics and
-	// checkpoint collections. Faulting the paths collection would be
-	// swallowed by the collector's per-server error tolerance and silently
-	// reshape the cell grid instead of exercising recovery.
+	// checkpoint collections. A failed paths write aborts the run — before
+	// the campaign has recorded an identity to resume, when it hits the
+	// measured destinations' collect — so the next round would restart
+	// fresh instead of exercising recovery (measure's own
+	// TestPathsWriteErrorAbortsRun covers that fault).
 	Collection string
 	// Nth is the 1-based ordinal of the failing write across the whole
 	// chaotic run (counters persist over crash/restart rounds). Plans keep

@@ -52,22 +52,29 @@ type campaignRun struct {
 	firstErr error
 }
 
-// runCampaign executes Run on the campaign engine (Workers >= 1).
+// runCampaign executes Run on the campaign engine (Workers >= 1). The first
+// measurement does not wait for the catalogue: only the measured
+// destinations are collected up front; the rest of the catalogue is one
+// trailing job behind the cells (docs/CAMPAIGN.md "Sharding: the cell
+// grid").
 func (s *Suite) runCampaign(ctx context.Context, opts RunOpts) (RunReport, error) {
 	rep := RunReport{Iterations: opts.Iterations}
 	if err := SeedServers(s.DB, s.Daemon.Topology()); err != nil {
 		return rep, err
 	}
-	// Resume implies Skip: re-collecting could reshape the cell grid the
-	// checkpoints refer to.
-	if !opts.Skip && !opts.Campaign.Resume {
-		if _, err := CollectPaths(ctx, s.DB, s.Daemon, opts.Collect); err != nil {
-			return rep, err
-		}
-	}
-	servers, err := s.campaignServers(opts)
+	servers, rest, err := s.campaignServers(opts)
 	if err != nil {
 		return rep, err
+	}
+	// A resumed campaign never re-collects a measured destination: that
+	// could reshape the cell grid the checkpoints refer to.
+	if !opts.Skip && !opts.Campaign.Resume {
+		if len(servers)+len(rest) == 0 {
+			return rep, errNoServers
+		}
+		if _, err := collectServers(ctx, s.DB, s.Daemon, opts.Collect, servers); err != nil {
+			return rep, err
+		}
 	}
 	rep.Destinations = len(servers)
 
@@ -79,7 +86,7 @@ func (s *Suite) runCampaign(ctx context.Context, opts RunOpts) (RunReport, error
 
 	// Fold already-checkpointed cells into the report and queue the rest.
 	progress := s.DB.Collection(ColProgress)
-	var cells []gridCell
+	var jobs []func()
 	for it := 0; it < opts.Iterations; it++ {
 		for _, srv := range servers {
 			if opts.Campaign.Resume {
@@ -88,31 +95,45 @@ func (s *Suite) runCampaign(ctx context.Context, opts RunOpts) (RunReport, error
 					continue
 				}
 			}
-			cells = append(cells, gridCell{iteration: it, srv: srv})
+			c := gridCell{iteration: it, srv: srv}
+			jobs = append(jobs, func() { run.runCell(ctx, c) })
 		}
 	}
+	// The unmeasured destinations are one job, not a fan-out: a probing
+	// collect draws from the suite world's RNG, so its order must not depend
+	// on the worker count. A resumed campaign runs it too — it is idempotent
+	// and writes nothing for what the interrupted run already stored.
+	if !opts.Skip && len(rest) > 0 {
+		jobs = append(jobs, func() {
+			// Cancellation is reported once, below, as the campaign's.
+			if _, err := collectServers(ctx, s.DB, s.Daemon, opts.Collect, rest); err != nil && ctx.Err() == nil {
+				run.recordFatal(err)
+			}
+		})
+	}
 
-	jobs := make(chan gridCell)
+	queue := make(chan func())
 	var wg sync.WaitGroup
 	for w := 0; w < opts.Campaign.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for c := range jobs {
-				// Cancellation (and first fatal error) boundary: a cell that
-				// already started finishes and checkpoints; queued cells are
-				// drained unrun.
+			for job := range queue {
+				// Cancellation (and first fatal error) boundary: a job that
+				// already started finishes — a cell checkpoints, the
+				// collect stops after the destination it is on; queued jobs
+				// are drained unrun.
 				if ctx.Err() != nil || run.failedFatally() {
 					continue
 				}
-				run.runCell(ctx, c)
+				job()
 			}
 		}()
 	}
-	for _, c := range cells {
-		jobs <- c
+	for _, job := range jobs {
+		queue <- job
 	}
-	close(jobs)
+	close(queue)
 	wg.Wait()
 
 	run.mu.Lock()

@@ -86,8 +86,10 @@ type Campaign struct {
 	// 0 uses the suite network's own seed.
 	Seed int64
 	// Resume skips cells already checkpointed in campaign_progress instead
-	// of re-measuring them. It implies Skip (paths were collected by the
-	// interrupted run) and requires Workers >= 1.
+	// of re-measuring them. The measured destinations are not collected
+	// again (the checkpoints refer to the paths the interrupted run stored
+	// for them); the rest of the catalogue is, after the cells, unless Skip
+	// is set. It requires Workers >= 1.
 	Resume bool
 	// Retry bounds per-cell retries of transient failures.
 	Retry RetryPolicy
@@ -239,8 +241,10 @@ type Suite struct {
 // paths were tested once, the fault-tolerance/I/O trade-off of §4.2.2.
 //
 // With opts.Campaign.Workers == 0 the grid runs strictly sequentially on
-// the suite's own world. With Workers >= 1 it runs on the sharded,
-// resumable campaign engine (see docs/CAMPAIGN.md): cells are measured on
+// the suite's own world, after the whole catalogue was collected. With
+// Workers >= 1 it runs on the sharded, resumable campaign engine (see
+// docs/CAMPAIGN.md): only the measured destinations are collected before
+// the cells, the rest of the catalogue after them; cells are measured on
 // private forked worlds, completed cells are checkpointed in the
 // campaign_progress collection, and the stored statistics are identical
 // for every worker count given the same campaign seed.
@@ -277,7 +281,7 @@ func (s *Suite) runSequential(ctx context.Context, opts RunOpts) (RunReport, err
 			return rep, err
 		}
 	}
-	servers, err := s.campaignServers(opts)
+	servers, _, err := s.campaignServers(opts)
 	if err != nil {
 		return rep, err
 	}
@@ -330,29 +334,25 @@ func (s *Suite) runSequential(ctx context.Context, opts RunOpts) (RunReport, err
 	return rep, nil
 }
 
-// campaignServers resolves and filters the destination set of a run.
-func (s *Suite) campaignServers(opts RunOpts) ([]Server, error) {
+// campaignServers resolves the destination set of a run: the servers it
+// measures and, in rest, the remainder of the catalogue (both in id order).
+func (s *Suite) campaignServers(opts RunOpts) (measured, rest []Server, err error) {
 	servers, err := Servers(s.DB)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if opts.SomeOnly && len(servers) > 1 {
-		servers = servers[:1]
+	want := map[int]bool{}
+	for _, id := range opts.ServerIDs {
+		want[id] = true
 	}
-	if len(opts.ServerIDs) > 0 {
-		want := map[int]bool{}
-		for _, id := range opts.ServerIDs {
-			want[id] = true
+	for i, srv := range servers {
+		if (opts.SomeOnly && i > 0) || (len(want) > 0 && !want[srv.ID]) {
+			rest = append(rest, srv)
+		} else {
+			measured = append(measured, srv)
 		}
-		kept := servers[:0]
-		for _, srv := range servers {
-			if want[srv.ID] {
-				kept = append(kept, srv)
-			}
-		}
-		servers = kept
 	}
-	return servers, nil
+	return measured, rest, nil
 }
 
 // signAll applies the SignStats hook to a stats batch.

@@ -6,6 +6,7 @@ package measure
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"github.com/upin/scionpath/internal/addr"
@@ -93,7 +94,13 @@ func CellID(campaign string, iteration, serverID int) string {
 // PathID builds the paper's path identifier: "a path whose id is 2_15
 // identifies the path 15 of the destination 2" (§4.2.1).
 func PathID(serverID, pathIndex int) string {
-	return fmt.Sprintf("%d_%d", serverID, pathIndex)
+	return string(appendPathID(make([]byte, 0, 16), serverID, pathIndex))
+}
+
+func appendPathID(b []byte, serverID, pathIndex int) []byte {
+	b = strconv.AppendInt(b, int64(serverID), 10)
+	b = append(b, '_')
+	return strconv.AppendInt(b, int64(pathIndex), 10)
 }
 
 // StatsID builds a stats document identifier by "combining the path

@@ -7,7 +7,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -68,16 +67,27 @@ func (p *Path) NumHops() int { return len(p.Hops) }
 // ISDSet returns the sorted set of ISDs the path traverses. The paper
 // stores this with every measurement and groups Fig 6 by it.
 func (p *Path) ISDSet() []addr.ISD {
-	seen := map[addr.ISD]bool{}
+	return p.AppendISDSet(make([]addr.ISD, 0, 4))
+}
+
+// AppendISDSet appends ISDSet to dst. A path crosses a handful of ISDs, so
+// the set is kept sorted by insertion instead of through a map.
+func (p *Path) AppendISDSet(dst []addr.ISD) []addr.ISD {
+	base := len(dst)
 	for _, h := range p.Hops {
-		seen[h.IA.ISD] = true
+		isd := h.IA.ISD
+		i := len(dst)
+		for i > base && dst[i-1] > isd {
+			i--
+		}
+		if i > base && dst[i-1] == isd {
+			continue
+		}
+		dst = append(dst, 0)
+		copy(dst[i+1:], dst[i:])
+		dst[i] = isd
 	}
-	out := make([]addr.ISD, 0, len(seen))
-	for isd := range seen {
-		out = append(out, isd)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return dst
 }
 
 // ISDSetKey renders the ISD set canonically, e.g. "16-17".
@@ -115,13 +125,12 @@ func (p *Path) HasLoop() bool {
 // Sequence renders the full hop-predicate sequence of the path, the string
 // passed to `scion ping --sequence '...'` to pin the route (§5.3).
 func (p *Path) Sequence() string {
-	return string(p.sequenceBytes())
+	return string(p.appendSequence(make([]byte, 0, 24*len(p.Hops))))
 }
 
-// sequenceBytes renders Sequence into one buffer; Fingerprint hashes it
-// without the string copy.
-func (p *Path) sequenceBytes() []byte {
-	b := make([]byte, 0, 24*len(p.Hops))
+// appendSequence appends Sequence to b; AppendFingerprint hashes it without
+// the string copy.
+func (p *Path) appendSequence(b []byte) []byte {
 	for i, h := range p.Hops {
 		if i > 0 {
 			b = append(b, ' ')
@@ -134,8 +143,17 @@ func (p *Path) sequenceBytes() []byte {
 // Fingerprint returns a short stable identifier derived from the hop
 // sequence, as the scion tools print.
 func (p *Path) Fingerprint() string {
-	sum := sha256.Sum256(p.sequenceBytes())
-	return hex.EncodeToString(sum[:8])
+	return string(p.AppendFingerprint(make([]byte, 0, 24*len(p.Hops))))
+}
+
+// AppendFingerprint appends Fingerprint to b, using b's spare capacity for
+// the pre-image: a caller that reuses one buffer renders and hashes without
+// allocating.
+func (p *Path) AppendFingerprint(b []byte) []byte {
+	n := len(b)
+	b = p.appendSequence(b)
+	sum := sha256.Sum256(b[n:])
+	return hex.AppendEncode(b[:n], sum[:8])
 }
 
 // String renders the path like showpaths: "Hops: [A 1>2 B 3>4 C] MTU: n".

@@ -1,6 +1,9 @@
 package pathmgr
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"github.com/upin/scionpath/internal/addr"
@@ -192,6 +195,33 @@ func TestISDSet(t *testing.T) {
 	// Fig 6 groups Ireland paths into ISD sets {16,17} and {16,17,19}.
 	if !sawDirect || !sawViaEU {
 		t.Errorf("expected ISD sets 16-17 and 16-17-19; direct=%v viaEU=%v", sawDirect, sawViaEU)
+	}
+}
+
+// TestAppendISDSetMatchesMapAndSort pins the insertion-sorted ISD set
+// against the map-and-sort definition on random hop lists, including the
+// append-after-existing-content form the collect stage uses.
+func TestAppendISDSetMatchesMapAndSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		p := &Path{Hops: make([]Hop, rng.Intn(12))}
+		seen := map[addr.ISD]bool{}
+		for i := range p.Hops {
+			p.Hops[i].IA.ISD = addr.ISD(1 + rng.Intn(6))
+			seen[p.Hops[i].IA.ISD] = true
+		}
+		want := make([]addr.ISD, 0, len(seen))
+		for isd := range seen {
+			want = append(want, isd)
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		if got := p.ISDSet(); got == nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("hops %v: ISDSet() = %v, want %v", p.Hops, got, want)
+		}
+		prefix := []addr.ISD{9, 3}
+		if got := p.AppendISDSet(prefix); !reflect.DeepEqual(got, append([]addr.ISD{9, 3}, want...)) {
+			t.Fatalf("hops %v: AppendISDSet after [9 3] = %v, want the prefix then %v", p.Hops, got, want)
+		}
 	}
 }
 

@@ -134,16 +134,21 @@ func ParseSequence(s string) (Sequence, error) {
 func (s Sequence) String() string {
 	b := make([]byte, 0, 24*len(s))
 	for i, p := range s {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		if p.isGlob() {
-			b = append(b, '*')
-		} else {
-			b = p.appendTo(b)
-		}
+		b = p.appendToken(b, i)
 	}
 	return string(b)
+}
+
+// appendToken appends the predicate as the i-th token of a rendered
+// sequence: space-separated, a glob as "*".
+func (p Predicate) appendToken(b []byte, i int) []byte {
+	if i > 0 {
+		b = append(b, ' ')
+	}
+	if p.isGlob() {
+		return append(b, '*')
+	}
+	return p.appendTo(b)
 }
 
 // MatchPath reports whether the path satisfies the sequence. Without glob
@@ -188,16 +193,31 @@ func matchFrom(seq []Predicate, hops []Hop) bool {
 func PathSequence(p *Path) Sequence {
 	seq := make(Sequence, len(p.Hops))
 	for i, h := range p.Hops {
-		var ifids []addr.IfID
-		if h.In != 0 {
-			ifids = append(ifids, h.In)
-		}
-		if h.Out != 0 {
-			ifids = append(ifids, h.Out)
-		}
-		seq[i] = Predicate{ISD: h.IA.ISD, AS: h.IA.AS, IfIDs: ifids}
+		seq[i] = pinnedPredicate(h, nil)
 	}
 	return seq
+}
+
+// pinnedPredicate is the predicate PathSequence pins hop h with; its
+// interface list is appended to ifids.
+func pinnedPredicate(h Hop, ifids []addr.IfID) Predicate {
+	if h.In != 0 {
+		ifids = append(ifids, h.In)
+	}
+	if h.Out != 0 {
+		ifids = append(ifids, h.Out)
+	}
+	return Predicate{ISD: h.IA.ISD, AS: h.IA.AS, IfIDs: ifids}
+}
+
+// AppendPathSequence appends PathSequence(p).String() — the form the paths
+// collection stores — to b without building the Sequence.
+func AppendPathSequence(b []byte, p *Path) []byte {
+	for i, h := range p.Hops {
+		var ifids [2]addr.IfID
+		b = pinnedPredicate(h, ifids[:0]).appendToken(b, i)
+	}
+	return b
 }
 
 // FindBySequence returns the first path in paths matched by the sequence,

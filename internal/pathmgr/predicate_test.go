@@ -366,6 +366,14 @@ func TestRenderingsMatchFmt(t *testing.T) {
 		if got, want := seq.String(), strings.Join(predParts, " "); got != want {
 			t.Fatalf("%d hops: PathSequence.String() = %q, fmt renders %q", n, got, want)
 		}
+		// The append forms the collect stage compares stored documents
+		// with: same bytes, after whatever the buffer already holds.
+		if got, want := string(AppendPathSequence([]byte("x "), p)), "x "+seq.String(); got != want {
+			t.Fatalf("%d hops: AppendPathSequence = %q, PathSequence.String() = %q", n, got, want)
+		}
+		if got, want := string(p.AppendFingerprint([]byte("x "))), "x "+p.Fingerprint(); got != want {
+			t.Fatalf("%d hops: AppendFingerprint = %q, Fingerprint() = %q", n, got, want)
+		}
 	}
 
 	// Glob tokens render as "*" between predicates.

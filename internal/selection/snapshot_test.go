@@ -448,9 +448,27 @@ func TestSnapshotIncrementalRefresh(t *testing.T) {
 	if _, err := measure.CollectPaths(ctx, db, daemon, measure.CollectOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	check("paths collected again", 8, 5)
+	check("paths collected again", 8, 5) // it repaired the update: one destination rewritten
 	w.insertInOrder(t, 2)
 	check("fold on the new catalogue", 8, 6)
+
+	// Collecting once more, over a world and a catalogue that did not change,
+	// writes nothing: no rebuild, no fold, and what the engine serves for
+	// every destination keeps its version — a cached response stays valid.
+	versions := map[int]int64{}
+	for _, id := range ids {
+		versions[id], _ = e.Version(ctx, id)
+	}
+	rep, err := measure.CollectPaths(ctx, db, daemon, measure.CollectOpts{})
+	if err != nil || rep.Rewritten != 0 {
+		t.Fatalf("collect over an unchanged world rewrote %d destinations, err %v", rep.Rewritten, err)
+	}
+	check("paths collected again, nothing changed", 8, 6)
+	for _, id := range ids {
+		if v, ok := e.Version(ctx, id); !ok || v != versions[id] {
+			t.Errorf("server %d: version %d -> %d across a no-op collect", id, versions[id], v)
+		}
+	}
 }
 
 // TestSnapshotSingleflightRefresh pins request coalescing: a burst of

@@ -109,6 +109,11 @@ type Link struct {
 	BaseLoss float64
 	// MTU of the link in bytes.
 	MTU int
+
+	// delay is the one-way propagation delay between the two ASes' sites,
+	// fixed when Connect made the link (AS coordinates never change after
+	// AddAS); Topology.Delay reads it once per packet per hop.
+	delay time.Duration
 }
 
 // DefaultMTU is used when a link does not specify one. SCIONLab paths
@@ -217,6 +222,7 @@ func (t *Topology) Connect(typ LinkType, a, b addr.IA, spec LinkSpec) (*Link, er
 		AIf: t.ifaceCount[a], BIf: t.ifaceCount[b],
 		CapacityAtoB: spec.CapacityAtoB, CapacityBtoA: spec.CapacityBtoA,
 		QueueBytes: spec.QueueBytes, BaseLoss: spec.BaseLoss, MTU: spec.MTU,
+		delay: geo.PropagationDelay(asA.Site.Coords, asB.Site.Coords),
 	}
 	t.links = append(t.links, l)
 	t.adj[a] = append(t.adj[a], l)
@@ -309,14 +315,9 @@ func (t *Topology) Servers() []addr.Host {
 	return out
 }
 
-// Delay returns the one-way propagation delay of the link from geography.
-func (t *Topology) Delay(l *Link) time.Duration {
-	a, b := t.ases[l.A], t.ases[l.B]
-	if a == nil || b == nil {
-		return 0
-	}
-	return geo.PropagationDelay(a.Site.Coords, b.Site.Coords)
-}
+// Delay returns the one-way propagation delay of the link from geography,
+// as Connect computed it.
+func (t *Topology) Delay(l *Link) time.Duration { return l.delay }
 
 // Validate performs structural checks: connectivity of the AS graph, every
 // non-core AS has a parent, every ISD has at least one core AS, user ASes

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -302,4 +303,53 @@ func TestDelayUsesGeography(t *testing.T) {
 	if w.Delay(transo) < 30*time.Millisecond {
 		t.Errorf("transpacific delay %v implausibly low", w.Delay(transo))
 	}
+}
+
+// TestDelayCachedMatchesGeography pins that the delay Connect caches on a
+// link is bit-identical to computing it from the two sites on demand — for
+// every link of the default world, of a generated one, of a JSON round
+// trip, and for user ASes attached after the fact (one at the attachment point's
+// site, one at its own).
+func TestDelayCachedMatchesGeography(t *testing.T) {
+	check := func(name string, w *Topology) {
+		t.Helper()
+		if len(w.Links()) == 0 {
+			t.Fatalf("%s: no links", name)
+		}
+		for _, l := range w.Links() {
+			want := geo.PropagationDelay(w.AS(l.A).Site.Coords, w.AS(l.B).Site.Coords)
+			if got := w.Delay(l); got != want {
+				t.Errorf("%s: link %s--%s: cached delay %v, geography says %v", name, l.A, l.B, got, want)
+			}
+		}
+	}
+	w := DefaultWorld()
+	check("default world", w)
+	if _, err := w.AttachUserAS(UserASSpec{IA: addr.MustParseIA("19-ffaa:1:5"), AP: MagdeburgAP}); err != nil {
+		t.Fatal(err)
+	}
+	far, err := w.AttachUserAS(UserASSpec{IA: addr.MustParseIA("17-ffaa:1:6"), AP: ETHZAP, Site: geo.Singapore})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Delay(far) < 10*time.Millisecond {
+		t.Errorf("Zurich--Singapore access link delay %v implausibly low", w.Delay(far))
+	}
+	check("default world with attached user ASes", w)
+
+	g, err := Generate(GenerateSpec{Seed: 7, ISDs: 4, CoresPerISD: 2, NonCorePerISD: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("generated world", g)
+
+	var buf bytes.Buffer
+	if err := w.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("JSON round trip", back)
 }

@@ -187,6 +187,39 @@ func TestResponseCache(t *testing.T) {
 	}
 }
 
+// TestCacheHitSurvivesNoOpCollect: re-collecting the paths of an unchanged
+// world writes nothing, so a cached /api/paths body is still served as a
+// hit afterwards; a re-collect that does change the destination's stored
+// paths retires it.
+func TestCacheHitSurvivesNoOpCollect(t *testing.T) {
+	f := setup(t, 73, 2)
+	tier := f.router(Config{Shards: 2, CacheEntries: 64})
+	ctx := context.Background()
+	path := fmt.Sprintf("/api/paths?server=%d", f.serverIDs[0])
+	first := get(t, tier, path, "")
+	if first.Code != http.StatusOK || get(t, tier, path, "").Header().Get("X-Cache") != "hit" {
+		t.Fatalf("status %d, or the second identical GET was not a hit", first.Code)
+	}
+
+	rep, err := measure.CollectPaths(ctx, f.db, f.daemon, measure.CollectOpts{})
+	if err != nil || rep.Rewritten != 0 {
+		t.Fatalf("collect over an unchanged world rewrote %d destinations, err %v", rep.Rewritten, err)
+	}
+	rec := get(t, tier, path, "")
+	if rec.Header().Get("X-Cache") != "hit" || !bytes.Equal(rec.Body.Bytes(), first.Body.Bytes()) {
+		t.Errorf("a no-op collect cost the cached answer (X-Cache %q)", rec.Header().Get("X-Cache"))
+	}
+
+	// A narrower collect drops most of the destination's paths.
+	if rep, err = measure.CollectPaths(ctx, f.db, f.daemon, measure.CollectOpts{MaxPaths: 1}); err != nil || rep.Rewritten == 0 {
+		t.Fatalf("narrower collect rewrote %d destinations, err %v", rep.Rewritten, err)
+	}
+	rec = get(t, tier, path, "")
+	if rec.Header().Get("X-Cache") == "hit" || bytes.Equal(rec.Body.Bytes(), first.Body.Bytes()) {
+		t.Errorf("answered from the cache (X-Cache %q) after a collect changed the destination's paths", rec.Header().Get("X-Cache"))
+	}
+}
+
 // TestRateLimiter: the token bucket throttles one client without touching
 // another, and refills over time.
 func TestRateLimiter(t *testing.T) {

@@ -122,9 +122,10 @@ go test -run '^$' -bench=Load -benchtime=1x ./internal/load >/dev/null
 echo "== tier 2: path-discovery benchmark smoke (-benchtime 1x)"
 # Keeps BenchmarkPathDisc* (the BENCH_pathdisc.json trajectory, see
 # docs/PATHDISC.md) runnable, including the 1k/5k-AS generated worlds, and
-# BenchmarkCollectPathsRepeat (the repeat collect on the 1000-AS world,
-# recorded in BENCH_docdb.json, see docs/CAMPAIGN.md).
-go test -run '^$' -bench='PathDisc|CollectPathsRepeat' -benchtime=1x . >/dev/null
+# BenchmarkCollectPathsRepeat / BenchmarkCollectPathsOneChanged (the repeat
+# collect on the 1000-AS world with nothing and with one destination
+# changed, recorded in BENCH_docdb.json, see docs/CAMPAIGN.md).
+go test -run '^$' -bench='PathDisc|CollectPaths(Repeat|OneChanged)' -benchtime=1x . >/dev/null
 
 echo "== tier 2: parallel campaign smoke (testsuite --workers 4)"
 go run ./cmd/testsuite 2 --servers 1,2,3 --workers 4 --no-bandwidth \
