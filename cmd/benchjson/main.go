@@ -9,7 +9,7 @@
 //	    -pkg ./internal/selection -out BENCH_serving.json
 //
 // and the path-discovery suite (see docs/PATHDISC.md) records its
-// AS-count-labelled trajectory with:
+// trajectory, labelled by AS count, with:
 //
 //	go run ./cmd/benchjson -label after -bench BenchmarkPathDisc \
 //	    -pkg . -out BENCH_pathdisc.json
@@ -22,7 +22,8 @@
 //
 // Each invocation replaces the named label in the -out file and leaves
 // every other label untouched, so "before" numbers captured at the start of
-// a PR survive the "after" run.
+// a PR survive the "after" run. Every "key=value" element of a benchmark's
+// path (.../ases=1000/k=4) is recorded in that row's labels map.
 package main
 
 import (
@@ -43,26 +44,12 @@ type benchResult struct {
 	Name    string  `json:"name"`
 	Iters   int64   `json:"iters"`
 	NsPerOp float64 `json:"ns_per_op"`
-	// Backend is the docdb storage backend a "backend=<name>" sub-benchmark
-	// ran against (BenchmarkDocDBInsert/backend=segment/n=100k → "segment");
-	// empty for backend-independent benchmarks.
-	Backend string `json:"backend,omitempty"`
-	// ASes is the topology size an "ases=<n>" sub-benchmark ran against
-	// (BenchmarkPathDiscDiscover/ases=1000 → 1000, the BENCH_pathdisc.json
-	// trajectory); 0 for size-independent benchmarks.
-	ASes int `json:"as_count,omitempty"`
-	// K is the path-set size of a "k=<n>" sub-benchmark
-	// (BenchmarkMultipathSelectSet/ases=35/k=2 — the BENCH_multipath.json
-	// trajectory); 0 for set-size-independent benchmarks.
-	K int `json:"k,omitempty"`
-	// Fleet/Shards/Dist describe a load-harness sub-benchmark
-	// (BenchmarkLoadServing/fleet=16/shards=4/dist=zipf — the
-	// BENCH_load.json trajectory); zero values for other suites.
-	Fleet    int    `json:"fleet,omitempty"`
-	Shards   int    `json:"shards,omitempty"`
-	Dist     string `json:"dist,omitempty"`
-	BPerOp   int64  `json:"bytes_per_op,omitempty"`
-	AllocsOp int64  `json:"allocs_per_op,omitempty"`
+	// Labels holds every "key=value" element of the benchmark's path, the
+	// value as written (BenchmarkLoadServing/fleet=16/shards=4/dist=zipf-8
+	// → fleet 16, shards 4, dist zipf); nil when the path has none.
+	Labels   map[string]string `json:"labels,omitempty"`
+	BPerOp   int64             `json:"bytes_per_op,omitempty"`
+	AllocsOp int64             `json:"allocs_per_op,omitempty"`
 	// Metrics carries custom b.ReportMetric columns (rps, p99_ms, ...)
 	// keyed by unit; nil when a benchmark reports none.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
@@ -157,25 +144,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 // the tail is a sequence of "<value> <unit>" measurement pairs.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(\S.*)$`)
 
-// backendLabel extracts the storage backend from a benchmark path element
-// like ".../backend=segment/...".
-var backendLabel = regexp.MustCompile(`/backend=([a-z]+)(?:/|-|$)`)
+// procsSuffix is the "-N" GOMAXPROCS suffix go test appends to a
+// benchmark name.
+var procsSuffix = regexp.MustCompile(`-\d+$`)
 
-// asesLabel extracts the topology size from a benchmark path element like
-// ".../ases=1000/..." (the path-discovery trajectory).
-var asesLabel = regexp.MustCompile(`/ases=(\d+)(?:/|-|$)`)
-
-// kLabel extracts the path-set size from a benchmark path element like
-// ".../k=4" (the multipath trajectory).
-var kLabel = regexp.MustCompile(`/k=(\d+)(?:/|-|$)`)
-
-// fleetLabel/shardsLabel/distLabel extract the load-harness dimensions
-// from elements like ".../fleet=16/shards=4/dist=zipf" (BENCH_load.json).
-var (
-	fleetLabel  = regexp.MustCompile(`/fleet=(\d+)(?:/|-|$)`)
-	shardsLabel = regexp.MustCompile(`/shards=(\d+)(?:/|-|$)`)
-	distLabel   = regexp.MustCompile(`/dist=([a-z]+)(?:/|-|$)`)
-)
+// parseLabels collects the "key=value" elements of a benchmark name's path
+// (everything after the top-level name), the GOMAXPROCS suffix stripped.
+func parseLabels(name string) map[string]string {
+	var labels map[string]string
+	elems := strings.Split(procsSuffix.ReplaceAllString(name, ""), "/")
+	for _, e := range elems[1:] {
+		if k, v, ok := strings.Cut(e, "="); ok && k != "" {
+			if labels == nil {
+				labels = map[string]string{}
+			}
+			labels[k] = v
+		}
+	}
+	return labels
+}
 
 // parseBench extracts benchmark results from go test -bench output. The
 // measurement tail is parsed pairwise, so custom b.ReportMetric columns
@@ -188,25 +175,7 @@ func parseBench(out string) []benchResult {
 		if m == nil {
 			continue
 		}
-		r := benchResult{Name: m[1]}
-		if bm := backendLabel.FindStringSubmatch(m[1]); bm != nil {
-			r.Backend = bm[1]
-		}
-		if am := asesLabel.FindStringSubmatch(m[1]); am != nil {
-			r.ASes, _ = strconv.Atoi(am[1])
-		}
-		if km := kLabel.FindStringSubmatch(m[1]); km != nil {
-			r.K, _ = strconv.Atoi(km[1])
-		}
-		if fm := fleetLabel.FindStringSubmatch(m[1]); fm != nil {
-			r.Fleet, _ = strconv.Atoi(fm[1])
-		}
-		if sm := shardsLabel.FindStringSubmatch(m[1]); sm != nil {
-			r.Shards, _ = strconv.Atoi(sm[1])
-		}
-		if dm := distLabel.FindStringSubmatch(m[1]); dm != nil {
-			r.Dist = dm[1]
-		}
+		r := benchResult{Name: m[1], Labels: parseLabels(m[1])}
 		r.Iters, _ = strconv.ParseInt(m[2], 10, 64)
 		fields := strings.Fields(m[3])
 		sawNs := false

@@ -38,7 +38,7 @@ func run(args []string) int {
 		fs.Usage()
 		return 2
 	}
-	w, err := cliutil.NewWorld(*seed, "", "")
+	w, err := cliutil.NewWorld(*seed, "")
 	if err != nil {
 		return cliutil.Fatalf(os.Stderr, "bwtest", "%v", err)
 	}

@@ -7,10 +7,10 @@
 //
 // Usage:
 //
-//	pathselect -d 2 -db stats.jsonl -objective latency
-//	pathselect -d 16-ffaa:0:1002 -db stats.jsonl -exclude-country 'United States' -max-loss 1
-//	pathselect -d 2 -db stats.jsonl -objective stable -top 5
-//	pathselect -d 2 -db stats.jsonl -set 3
+//	pathselect -d 2 -db stats.db -objective latency
+//	pathselect -d 16-ffaa:0:1002 -db stats.db -exclude-country 'United States' -max-loss 1
+//	pathselect -d 2 -db stats.db -objective stable -top 5
+//	pathselect -d 2 -db stats.db -set 3
 package main
 
 import (
@@ -30,8 +30,7 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("pathselect", flag.ContinueOnError)
 	var (
 		dest       = fs.String("d", "", "destination: server id, ISD-AS or host address (required)")
-		dbPath     = fs.String("db", "", "measurement database journal (required; produce with testsuite --db)")
-		dbBackend  = fs.String("docdb-backend", "", "docdb storage backend: jsonl or segment (auto-detect when empty)")
+		dbPath     = fs.String("db", "", "measurement database directory (required; produce with testsuite --db)")
 		objective  = fs.String("objective", "latency", "latency | bandwidth | loss | stable")
 		maxLatency = fs.Float64("max-latency", 0, "maximum average latency in ms (0 = unconstrained)")
 		maxLoss    = fs.Float64("max-loss", 0, "maximum average loss in percent")
@@ -52,7 +51,7 @@ func run(args []string) int {
 		fs.Usage()
 		return 2
 	}
-	w, err := cliutil.NewWorld(*seed, *dbPath, *dbBackend)
+	w, err := cliutil.NewWorld(*seed, *dbPath)
 	if err != nil {
 		return cliutil.Fatalf(os.Stderr, "pathselect", "%v", err)
 	}

@@ -32,8 +32,8 @@ func capture(t *testing.T, f func() int) (string, int) {
 // measuredDB builds a journal with a small campaign against server 1.
 func measuredDB(t *testing.T) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "stats.jsonl")
-	w, err := cliutil.NewWorld(1, path, "")
+	path := filepath.Join(t.TempDir(), "stats.db")
+	w, err := cliutil.NewWorld(1, path)
 	if err != nil {
 		t.Fatal(err)
 	}

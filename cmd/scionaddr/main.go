@@ -24,7 +24,7 @@ func run(args []string) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	w, err := cliutil.NewWorld(*seed, "", "")
+	w, err := cliutil.NewWorld(*seed, "")
 	if err != nil {
 		return cliutil.Fatalf(os.Stderr, "scionaddr", "%v", err)
 	}

@@ -9,10 +9,11 @@
 // Usage (mirrors "./test_suite.sh 100 --skip"):
 //
 //	testsuite 100 --skip
-//	testsuite 20 --some-only --db stats.jsonl
+//	testsuite 20 --some-only --db stats.db
 //	testsuite 5 --servers 2,5,9 --target 150Mbps
-//	testsuite 20 --db stats.jsonl --workers 4       # parallel campaign
-//	testsuite 20 --db stats.jsonl --resume          # continue after Ctrl-C
+//	testsuite 20 --db stats.db --workers 4       # parallel campaign
+//	testsuite 20 --db stats.db --resume          # continue after Ctrl-C
+//	testsuite --chaos-seed 7 --db /tmp/chaos.db  # reproduce one chaos seed
 package main
 
 import (
@@ -42,8 +43,7 @@ func run(args []string) int {
 		skip     = fs.Bool("skip", false, "bypass paths collection (paths must already be collected)")
 		someOnly = fs.Bool("some-only", false, "test only the first destination")
 		servers  = fs.String("servers", "", "comma-separated server ids to test (default all)")
-		dbPath   = fs.String("db", "", "database path for persistent storage (default in-memory)")
-		backend  = fs.String("docdb-backend", "", "docdb storage backend: jsonl or segment (auto-detect when empty)")
+		dbPath   = fs.String("db", "", "database directory for persistent storage (default in-memory)")
 		target   = fs.String("target", "12Mbps", "bandwidth target for the bwtester runs")
 		pingN    = fs.Int("ping-count", 30, "echo packets per latency measurement")
 		pingIvl  = fs.Duration("ping-interval", 100*time.Millisecond, "echo packet interval")
@@ -57,7 +57,7 @@ func run(args []string) int {
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: testsuite <iterations> [flags]\n")
-		fmt.Fprintf(os.Stderr, "       testsuite --chaos-seed <seed> [--db journal.jsonl] [--docdb-backend segment]\n")
+		fmt.Fprintf(os.Stderr, "       testsuite --chaos-seed <seed> [--db /tmp/chaos.db]\n")
 		fs.PrintDefaults()
 	}
 	// Accept the positional <iterations> before or after flags.
@@ -79,7 +79,7 @@ func run(args []string) int {
 			fs.Usage()
 			return 2
 		}
-		return runChaos(*chaos, *dbPath, *backend)
+		return runChaos(*chaos, *dbPath)
 	}
 	if len(positional) != 1 {
 		fs.Usage()
@@ -97,7 +97,7 @@ func run(args []string) int {
 		return cliutil.Fatalf(os.Stderr, "testsuite", "--resume needs --db (checkpoints live in the database)")
 	}
 
-	w, err := cliutil.NewWorld(*seed, *dbPath, *backend)
+	w, err := cliutil.NewWorld(*seed, *dbPath)
 	if err != nil {
 		return cliutil.Fatalf(os.Stderr, "testsuite", "%v", err)
 	}
@@ -173,11 +173,11 @@ func run(args []string) int {
 
 // runChaos executes one seeded chaotic campaign (crashes, resumes, write
 // faults, log truncation, network weather, lookup failures) against its
-// fault-free oracle and verifies the harness invariants, on the selected
-// storage backend. With an empty dbPath the log lives in a temporary
-// directory; a given dbPath must not exist yet (the harness owns the log
-// from birth, including the damage it inflicts on it).
-func runChaos(seed int64, dbPath, backend string) int {
+// fault-free oracle and verifies the harness invariants. With an empty
+// dbPath the log lives in a temporary directory; a given dbPath must not
+// exist yet (the harness owns the log from birth, including the damage it
+// inflicts on it).
+func runChaos(seed int64, dbPath string) int {
 	path := dbPath
 	if path == "" {
 		dir, err := os.MkdirTemp("", "chaos-*")
@@ -185,11 +185,11 @@ func runChaos(seed int64, dbPath, backend string) int {
 			return cliutil.Fatalf(os.Stderr, "testsuite", "chaos: %v", err)
 		}
 		defer os.RemoveAll(dir)
-		path = filepath.Join(dir, "journal.jsonl")
+		path = filepath.Join(dir, "chaos.db")
 	} else if _, err := os.Stat(path); err == nil {
 		return cliutil.Fatalf(os.Stderr, "testsuite", "chaos: %s already exists; the harness needs a fresh database path", path)
 	}
-	res, err := chaospkg.Run(context.Background(), seed, path, backend)
+	res, err := chaospkg.Run(context.Background(), seed, path)
 	if err != nil {
 		return cliutil.Fatalf(os.Stderr, "testsuite", "%v", err)
 	}
@@ -202,7 +202,7 @@ func runChaos(seed int64, dbPath, backend string) int {
 	fmt.Printf("  stats stored:      %d (oracle %d)\n", res.Report.StatsStored, res.OracleReport.StatsStored)
 	fmt.Printf("  cell failures:     %d\n", res.Report.Failures)
 	if dbPath != "" {
-		fmt.Printf("  journal:           %s\n", dbPath)
+		fmt.Printf("  database:          %s\n", dbPath)
 	}
 	if verr != nil {
 		fmt.Fprintf(os.Stderr, "testsuite: chaos: INVARIANT VIOLATION: %v\n", verr)

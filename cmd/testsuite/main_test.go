@@ -41,7 +41,7 @@ func TestTestsuiteSomeOnly(t *testing.T) {
 }
 
 func TestTestsuitePersistsAndSkip(t *testing.T) {
-	db := filepath.Join(t.TempDir(), "stats.jsonl")
+	db := filepath.Join(t.TempDir(), "stats.db")
 	out, code := capture(t, func() int {
 		return run([]string{"1", "-servers", "1", "-db", db,
 			"-ping-count", "3", "-ping-interval", "5ms", "-no-bandwidth"})

@@ -38,7 +38,7 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "traceroute: exactly one destination required")
 		return 2
 	}
-	w, err := cliutil.NewWorld(*seed, "", "")
+	w, err := cliutil.NewWorld(*seed, "")
 	if err != nil {
 		return cliutil.Fatalf(os.Stderr, "traceroute", "%v", err)
 	}

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	upin -d 1 -exclude-country 'United States' -profile voip
-//	upin -d 1 -db stats.jsonl -profile bulk -domain 16,17,19
+//	upin -d 1 -db stats.db -profile bulk -domain 16,17,19
 package main
 
 import (
@@ -34,7 +34,6 @@ func run(args []string) int {
 	var (
 		dest      = fs.String("d", "", "destination: server id, ISD-AS or host address (required)")
 		dbPath    = fs.String("db", "", "measurement database (in-memory campaign when empty)")
-		dbBackend = fs.String("docdb-backend", "", "docdb storage backend: jsonl or segment (auto-detect when empty)")
 		profile   = fs.String("profile", "browsing", "recommendation profile: voip | streaming | bulk | browsing")
 		exCountry = fs.String("exclude-country", "", "comma-separated countries to avoid")
 		exISD     = fs.String("exclude-isd", "", "comma-separated ISDs to avoid")
@@ -54,7 +53,7 @@ func run(args []string) int {
 		return cliutil.Fatalf(os.Stderr, "upin", "%v", err)
 	}
 
-	w, err := cliutil.NewWorld(*seed, *dbPath, *dbBackend)
+	w, err := cliutil.NewWorld(*seed, *dbPath)
 	if err != nil {
 		return cliutil.Fatalf(os.Stderr, "upin", "%v", err)
 	}

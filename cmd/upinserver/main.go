@@ -12,7 +12,7 @@
 //
 // Usage:
 //
-//	upinserver -addr :8080 -db stats.jsonl
+//	upinserver -addr :8080 -db stats.db
 //	upinserver -addr :8080 -measure 1,13      # measure those servers at boot
 //	upinserver -shards 4 -max-inflight 64 -rate 50   # sharded serving tier
 //
@@ -23,7 +23,7 @@
 // path. See docs/LOAD.md.
 //
 // Ctrl-C (or SIGTERM) shuts the server down gracefully: in-flight requests
-// finish, then the database journal is flushed and closed.
+// finish, then the database log is flushed and closed.
 package main
 
 import (
@@ -52,7 +52,7 @@ import (
 // boot-time measurements, and the serving-tier shape.
 type serveConfig struct {
 	seed                int64
-	dbPath, dbBackend   string
+	dbPath              string
 	domain, measureList string
 	shards, maxInflight int
 	queueDepth          int
@@ -72,12 +72,11 @@ func main() { os.Exit(run(os.Args[1:])) }
 func run(args []string) int {
 	fs := flag.NewFlagSet("upinserver", flag.ContinueOnError)
 	var (
-		addrFlag  = fs.String("addr", ":8080", "listen address")
-		dbPath    = fs.String("db", "", "measurement database path (in-memory when empty)")
-		dbBackend = fs.String("docdb-backend", "", "docdb storage backend: jsonl or segment (auto-detect when empty)")
-		domain    = fs.String("domain", "16,17,19", "comma-separated ISDs forming the UPIN domain")
-		measureS  = fs.String("measure", "", "comma-separated server ids to measure at boot")
-		seed      = fs.Int64("seed", 1, "simulation seed")
+		addrFlag = fs.String("addr", ":8080", "listen address")
+		dbPath   = fs.String("db", "", "measurement database path (in-memory when empty)")
+		domain   = fs.String("domain", "16,17,19", "comma-separated ISDs forming the UPIN domain")
+		measureS = fs.String("measure", "", "comma-separated server ids to measure at boot")
+		seed     = fs.Int64("seed", 1, "simulation seed")
 
 		shards       = fs.Int("shards", 1, "serving replicas behind the rendezvous router (>1 enables the tier)")
 		maxInflight  = fs.Int("max-inflight", 0, "admission control: concurrently admitted requests (0 = unlimited)")
@@ -94,7 +93,7 @@ func run(args []string) int {
 	defer stop()
 
 	handler, cleanup, err := buildHandler(ctx, serveConfig{
-		seed: *seed, dbPath: *dbPath, dbBackend: *dbBackend,
+		seed: *seed, dbPath: *dbPath,
 		domain: *domain, measureList: *measureS,
 		shards: *shards, maxInflight: *maxInflight,
 		queueDepth: *queueDepth, queueTimeout: *queueTimeout,
@@ -138,9 +137,9 @@ func run(args []string) int {
 
 // buildHandler wires the world, optional boot-time measurements, and the
 // front-end handler — a single upin.Server, or the sharded serving tier
-// when cfg.tiered(). The returned cleanup closes the database journal.
+// when cfg.tiered(). The returned cleanup closes the database log.
 func buildHandler(ctx context.Context, cfg serveConfig) (http.Handler, func() error, error) {
-	w, err := cliutil.NewWorld(cfg.seed, cfg.dbPath, cfg.dbBackend)
+	w, err := cliutil.NewWorld(cfg.seed, cfg.dbPath)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -180,7 +179,7 @@ func buildHandler(ctx context.Context, cfg serveConfig) (http.Handler, func() er
 			CacheEntries: cfg.cacheEntries,
 		})
 		return tier, func() error {
-			// Drain the replicas before the journal closes underneath them.
+			// Drain the replicas before the log closes underneath them.
 			if err := tier.Close(); err != nil {
 				return errors.Join(err, w.Close())
 			}

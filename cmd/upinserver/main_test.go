@@ -51,7 +51,7 @@ func TestBuildHandlerServesIntent(t *testing.T) {
 }
 
 func TestBuildHandlerWithJournal(t *testing.T) {
-	db := filepath.Join(t.TempDir(), "stats.jsonl")
+	db := filepath.Join(t.TempDir(), "stats.db")
 	_, cleanup, err := buildHandler(context.Background(),
 		serveConfig{seed: 1, dbPath: db, domain: "17"})
 	if err != nil {
@@ -68,7 +68,7 @@ func TestBuildHandlerErrors(t *testing.T) {
 		t.Error("bad measure list accepted")
 	}
 	if _, _, err := buildHandler(context.Background(),
-		serveConfig{seed: 1, domain: "17", dbPath: filepath.Join(t.TempDir(), "no", "dir", "x.jsonl")}); err == nil {
+		serveConfig{seed: 1, domain: "17", dbPath: filepath.Join(t.TempDir(), "no", "dir", "x.db")}); err == nil {
 		t.Error("bad db path accepted")
 	}
 }

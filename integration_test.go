@@ -1,7 +1,7 @@
 // Integration tests exercising the whole pipeline across module
 // boundaries: world -> beaconing -> collection -> measurement -> storage ->
 // selection -> UPIN verification, including persistence across process
-// restarts and crash recovery of the journal.
+// restarts and crash recovery of the log.
 package scionpath
 
 import (
@@ -23,13 +23,13 @@ import (
 	"github.com/upin/scionpath/internal/upin"
 )
 
-// TestFullPipelinePersistence runs a campaign into a journal, "restarts"
-// (new world, same journal), and selects paths from the replayed data.
+// TestFullPipelinePersistence runs a campaign into a log, "restarts"
+// (new world, same log), and selects paths from the replayed data.
 func TestFullPipelinePersistence(t *testing.T) {
-	dbPath := filepath.Join(t.TempDir(), "stats.jsonl")
+	dbPath := filepath.Join(t.TempDir(), "stats.db")
 
 	// Session 1: collect + measure Ireland.
-	w1, err := cliutil.NewWorld(5, dbPath, "")
+	w1, err := cliutil.NewWorld(5, dbPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestFullPipelinePersistence(t *testing.T) {
 	}
 
 	// Session 2: replay, then select without re-measuring.
-	w2, err := cliutil.NewWorld(6, dbPath, "")
+	w2, err := cliutil.NewWorld(6, dbPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +77,11 @@ func TestFullPipelinePersistence(t *testing.T) {
 	}
 }
 
-// TestCrashRecovery truncates the journal mid-write and verifies the next
+// TestCrashRecovery truncates the log mid-write and verifies the next
 // session keeps everything before the torn record.
 func TestCrashRecovery(t *testing.T) {
-	dbPath := filepath.Join(t.TempDir(), "stats.jsonl")
-	w, err := cliutil.NewWorld(7, dbPath, "")
+	dbPath := filepath.Join(t.TempDir(), "stats.db")
+	w, err := cliutil.NewWorld(7, dbPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,16 +96,17 @@ func TestCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Tear the journal: chop the final record in half.
-	data, err := os.ReadFile(dbPath)
+	// Tear the log: chop the statistics shard's final record in half.
+	shard := filepath.Join(dbPath, "c-"+measure.ColStats+".seg")
+	data, err := os.ReadFile(shard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(dbPath, data[:len(data)-40], 0o644); err != nil {
+	if err := os.WriteFile(shard, data[:len(data)-40], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	w2, err := cliutil.NewWorld(8, dbPath, "")
+	w2, err := cliutil.NewWorld(8, dbPath)
 	if err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}
@@ -121,9 +122,9 @@ func TestCrashRecovery(t *testing.T) {
 }
 
 // TestUPINPipelineOverMeasuredDB drives controller -> tracer -> verifier
-// over a journal-backed campaign.
+// over a log-backed campaign.
 func TestUPINPipelineOverMeasuredDB(t *testing.T) {
-	w, err := cliutil.NewWorld(9, "", "")
+	w, err := cliutil.NewWorld(9, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestUPINPipelineOverMeasuredDB(t *testing.T) {
 // TestConcurrentReadersDuringCampaign runs selection queries concurrently
 // with an ongoing measurement campaign (run with -race in CI).
 func TestConcurrentReadersDuringCampaign(t *testing.T) {
-	w, err := cliutil.NewWorld(10, "", "")
+	w, err := cliutil.NewWorld(10, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestConcurrentReadersDuringCampaign(t *testing.T) {
 // stored statistics byte for byte.
 func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() []docdb.Document {
-		w, err := cliutil.NewWorld(11, "", "")
+		w, err := cliutil.NewWorld(11, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +237,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 // TestEpisodeVisibleEndToEnd injects an outage through the public pipeline
 // and checks it shows up in the database and flips path status probes.
 func TestEpisodeVisibleEndToEnd(t *testing.T) {
-	w, err := cliutil.NewWorld(12, "", "")
+	w, err := cliutil.NewWorld(12, "")
 	if err != nil {
 		t.Fatal(err)
 	}

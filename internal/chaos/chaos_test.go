@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -12,22 +11,18 @@ import (
 	"testing"
 
 	"github.com/upin/scionpath/internal/docdb"
+	"github.com/upin/scionpath/internal/measure"
 	"github.com/upin/scionpath/internal/topology"
 )
-
-// backends is every storage backend the sweep and the -race subset run
-// against: the fault plans, crash model and invariants are backend-agnostic
-// by contract (docdb.Backend), and this is where that contract is held to.
-var backends = []string{docdb.BackendJSONL, docdb.BackendSegment}
 
 // sweepSeeds is the tier-1 seed range: every seed runs the full chaotic
 // campaign (crashes, resumes, truncation) against its oracle and must pass
 // all four invariants.
 const sweepSeeds = 50
 
-func runSeed(t *testing.T, seed int64, backend string) *Result {
+func runSeed(t *testing.T, seed int64) *Result {
 	t.Helper()
-	res, err := Run(context.Background(), seed, filepath.Join(t.TempDir(), "journal.db"), backend)
+	res, err := Run(context.Background(), seed, filepath.Join(t.TempDir(), "chaos.db"))
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
@@ -43,7 +38,7 @@ func runSeed(t *testing.T, seed int64, backend string) *Result {
 func TestRunHonoursCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Run(ctx, 1, filepath.Join(t.TempDir(), "journal.db"), "")
+	res, err := Run(ctx, 1, filepath.Join(t.TempDir(), "chaos.db"))
 	if err == nil {
 		res.Close()
 		t.Fatal("Run completed under a cancelled context")
@@ -53,47 +48,43 @@ func TestRunHonoursCancelledContext(t *testing.T) {
 	}
 }
 
+// TestChaosSweep runs the seed range on the segment log; the "segment"
+// subtest names the on-disk format the crashes damage.
 func TestChaosSweep(t *testing.T) {
-	for _, backend := range backends {
-		t.Run(backend, func(t *testing.T) {
-			var interrupted, cellFailures atomic.Int64
-			t.Run("seeds", func(t *testing.T) {
-				for seed := int64(1); seed <= sweepSeeds; seed++ {
-					t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-						t.Parallel()
-						res := runSeed(t, seed, backend)
-						if res.Rounds > 1 {
-							interrupted.Add(1)
-						}
-						cellFailures.Add(int64(res.Report.Failures))
-					})
-				}
-			})
-			// The sweep must actually exercise recovery, not accidentally
-			// draw 50 benign plans: most plans schedule at least one crash
-			// round.
-			if n := interrupted.Load(); n < sweepSeeds/2 {
-				t.Errorf("only %d/%d seeds interrupted the campaign; faults are not engaging", n, sweepSeeds)
-			}
-			t.Logf("interrupted runs: %d/%d, cell-level failures: %d", interrupted.Load(), sweepSeeds, cellFailures.Load())
-		})
-	}
-}
-
-// TestChaosSmall is the -race subset verify.sh runs: a handful of full
-// chaotic runs under the race detector, against both storage backends.
-func TestChaosSmall(t *testing.T) {
-	for _, backend := range backends {
-		t.Run(backend, func(t *testing.T) {
-			for seed := int64(1); seed <= 3; seed++ {
-				seed := seed
+	t.Run("segment", func(t *testing.T) {
+		var interrupted, cellFailures atomic.Int64
+		t.Run("seeds", func(t *testing.T) {
+			for seed := int64(1); seed <= sweepSeeds; seed++ {
 				t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 					t.Parallel()
-					runSeed(t, seed, backend)
+					res := runSeed(t, seed)
+					if res.Rounds > 1 {
+						interrupted.Add(1)
+					}
+					cellFailures.Add(int64(res.Report.Failures))
 				})
 			}
 		})
-	}
+		// The sweep must actually exercise recovery, not accidentally draw
+		// 50 benign plans: most plans schedule at least one crash round.
+		if n := interrupted.Load(); n < sweepSeeds/2 {
+			t.Errorf("only %d/%d seeds interrupted the campaign; faults are not engaging", n, sweepSeeds)
+		}
+		t.Logf("interrupted runs: %d/%d, cell-level failures: %d", interrupted.Load(), sweepSeeds, cellFailures.Load())
+	})
+}
+
+// TestChaosSmall is the -race subset verify.sh runs: a handful of full
+// chaotic runs under the race detector.
+func TestChaosSmall(t *testing.T) {
+	t.Run("segment", func(t *testing.T) {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+				t.Parallel()
+				runSeed(t, seed)
+			})
+		}
+	})
 }
 
 // TestPlanDeterminism pins the harness's core property: the fault schedule
@@ -159,47 +150,87 @@ func TestPlanShape(t *testing.T) {
 	}
 }
 
-// TestTruncateTailBoundedByMeta: however large the requested cut, the
-// campaign metadata line (and everything before it) survives.
+// TestTruncateTailBoundedByMeta: a crash loses every shard's uncommitted
+// suffix, but never the campaign metadata record (or anything committed
+// before it), and a log that never recorded the metadata is refused.
 func TestTruncateTailBoundedByMeta(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.db")
-	meta := `{"op":"insert","c":"campaign_progress","doc":{"_id":"meta:camp","campaign":"camp"}}` + "\n"
-	content := `{"op":"insert","c":"paths","doc":{"_id":"p1"}}` + "\n" + meta +
-		`{"op":"insert","c":"paths_stats","doc":{"_id":"s1"}}` + "\n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
+	// big overflows the log's write buffer, so its bytes reach the shard
+	// file without a commit marker behind them — the suffix a crash loses.
+	big := strings.Repeat("x", 1<<17)
+	meta := docdb.Document{"_id": measure.CampaignMetaID("camp"), "campaign": "camp"}
+	open := func(t *testing.T, path string) *docdb.DB {
+		t.Helper()
+		db, err := docdb.Open(docdb.WithPath(path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
 	}
-	if err := truncateTail(path, "camp", 1<<20); err != nil {
-		t.Fatal(err)
+	insert := func(t *testing.T, db *docdb.DB, col string, doc docdb.Document) {
+		t.Helper()
+		if err := db.Collection(col).Insert(doc); err != nil {
+			t.Fatal(err)
+		}
 	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasSuffix(string(got), meta) {
-		t.Fatalf("truncation cut into or past the meta line; remaining:\n%s", got)
+	// crashAndReopen checks that the uncommitted record id reached the
+	// shard file of col, truncates the abandoned log and replays what
+	// survived.
+	crashAndReopen := func(t *testing.T, path, col, id string) *docdb.DB {
+		t.Helper()
+		pre := open(t, path)
+		if pre.Collection(col).Get(id) == nil {
+			t.Fatalf("%s never reached the shard file; no cut could be observed", id)
+		}
+		if err := pre.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := truncateTail(path, "camp"); err != nil {
+			t.Fatal(err)
+		}
+		db := open(t, path)
+		t.Cleanup(func() { db.Close() })
+		return db
 	}
 
-	// A partial cut leaves a truncated final line, which replay tolerates.
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := truncateTail(path, "camp", 10); err != nil {
-		t.Fatal(err)
-	}
-	got, err = os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(content)-10 {
-		t.Fatalf("cut %d bytes, want 10", len(content)-len(got))
-	}
-
-	// No meta line at all: refuse rather than destroy collected paths.
-	if err := os.WriteFile(path, []byte(`{"op":"insert","c":"paths","doc":{"_id":"p1"}}`+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := truncateTail(path, "camp", 10); err == nil {
-		t.Fatal("truncateTail without a meta line should refuse")
-	}
+	t.Run("committed meta, uncommitted stats", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "chaos.db")
+		db := open(t, path)
+		insert(t, db, measure.ColPaths, docdb.Document{"_id": "p1"})
+		insert(t, db, measure.ColProgress, meta)
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		insert(t, db, measure.ColStats, docdb.Document{"_id": "s1", "pad": big})
+		re := crashAndReopen(t, path, measure.ColStats, "s1") // db abandoned without Close
+		if re.Collection(measure.ColPaths).Get("p1") == nil || re.Collection(measure.ColProgress).Get(meta.ID()) == nil {
+			t.Fatal("truncation cut committed records")
+		}
+		if re.Collection(measure.ColStats).Get("s1") != nil {
+			t.Fatal("uncommitted suffix survived the crash")
+		}
+	})
+	t.Run("uncommitted meta floors the cut", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "chaos.db")
+		db := open(t, path)
+		insert(t, db, measure.ColProgress, meta)
+		insert(t, db, measure.ColProgress, docdb.Document{"_id": "ckpt", "pad": big})
+		re := crashAndReopen(t, path, measure.ColProgress, "ckpt")
+		if re.Collection(measure.ColProgress).Get(meta.ID()) == nil {
+			t.Fatal("truncation cut into the meta record")
+		}
+		if re.Collection(measure.ColProgress).Get("ckpt") != nil {
+			t.Fatal("uncommitted record after the meta survived the crash")
+		}
+	})
+	t.Run("no meta refuses", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "chaos.db")
+		db := open(t, path)
+		insert(t, db, measure.ColPaths, docdb.Document{"_id": "p1"})
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := truncateTail(path, "camp"); err == nil {
+			t.Fatal("truncateTail without a meta record should refuse")
+		}
+	})
 }

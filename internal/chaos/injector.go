@@ -73,10 +73,9 @@ func (in *injector) BeforeWrite(collection, op string, batch int) error {
 // (truncateTail) rather than during replay, so replay always proceeds.
 func (in *injector) ReplayEntry(n int, op string) bool { return true }
 
-// truncateTail loses an unsynced log suffix the way a crash would, via the
-// backend-aware docdb.TruncateLogTail: up to maxCut bytes off a jsonl
-// journal's tail, the entire uncommitted suffix of every segment shard —
-// but never past the campaign metadata record. Everything before it
+// truncateTail loses the unsynced log suffix the way a crash would, via
+// docdb.TruncateLogTail: the entire uncommitted suffix of every segment
+// shard — but never past the campaign metadata record. Everything before it
 // (server catalogue, the measured destinations' collected paths, campaign
 // identity) is written and flushed before the first cell runs, so a real
 // crash cannot lose it, and a resume without it would legitimately restart
@@ -84,8 +83,8 @@ func (in *injector) ReplayEntry(n int, op string) bool { return true }
 // ran. The paths of the unmeasured destinations are written after the cells
 // and may be lost, whole or in part; the resumed run's trailing collect
 // re-establishes them.
-func truncateTail(path, campaign string, maxCut int) error {
-	if err := docdb.TruncateLogTail(path, measure.CampaignMetaID(campaign), maxCut); err != nil {
+func truncateTail(path, campaign string) error {
+	if err := docdb.TruncateLogTail(path, measure.CampaignMetaID(campaign)); err != nil {
 		return fmt.Errorf("chaos: %w", err)
 	}
 	return nil

@@ -56,16 +56,13 @@ type WriteFault struct {
 	Nth int
 }
 
-// Crash kills one campaign round and damages the journal behind it.
+// Crash kills one campaign round. The log behind it then loses its
+// uncommitted suffix, as a crash loses the page cache — never past the
+// campaign metadata record (see truncateTail).
 type Crash struct {
 	// AfterCheckpoints cancels the campaign context once this many writes
 	// have hit the checkpoint collection in the round (>= 1).
 	AfterCheckpoints int
-	// TruncateTail cuts up to this many bytes off the journal's tail after
-	// the crash, simulating an unsynced suffix lost with the page cache.
-	// The cut is bounded so it never reaches past the campaign metadata
-	// line (see truncateTail).
-	TruncateTail int
 }
 
 // Plan is one seed's worth of composed faults. Plans are pure data: the
@@ -130,10 +127,11 @@ func NewPlan(seed int64, topo *topology.Topology) Plan {
 	}
 
 	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
-		p.Crashes = append(p.Crashes, Crash{
-			AfterCheckpoints: 1 + rng.Intn(3),
-			TruncateTail:     rng.Intn(200),
-		})
+		after := 1 + rng.Intn(3)
+		// This draw once sized a byte budget for the log cut; it stays so
+		// every seed keeps the plan it always had.
+		_ = rng.Intn(200)
+		p.Crashes = append(p.Crashes, Crash{AfterCheckpoints: after})
 	}
 	return p
 }

@@ -54,12 +54,10 @@ func (r *Result) Close() error { return r.Final.Close() }
 // perfect storage, then the same campaign on a persistent database at
 // dbPath under the full plan — write faults, crashes at plan-chosen
 // checkpoints, log tail truncation — resumed round after round until it
-// completes. backend names the docdb storage backend ("jsonl", "segment",
-// or "" for the default); the fault plan is backend-agnostic. The caller
-// owns dbPath (a fresh temp path) and must Close the Result. Cancelling
-// ctx aborts the run between (and inside) rounds — the campaign engine
-// checks it per cell.
-func Run(ctx context.Context, seed int64, dbPath, backend string) (*Result, error) {
+// completes. The caller owns dbPath (a fresh path in an existing
+// directory) and must Close the Result. Cancelling ctx aborts the run
+// between (and inside) rounds — the campaign engine checks it per cell.
+func Run(ctx context.Context, seed int64, dbPath string) (*Result, error) {
 	topo := topology.DefaultWorld()
 	res := &Result{
 		Seed:     seed,
@@ -84,7 +82,7 @@ func Run(ctx context.Context, seed int64, dbPath, backend string) (*Result, erro
 	// completes; one spare round absorbs the crash-trigger-never-fired case.
 	maxRounds := len(res.Plan.Crashes) + len(res.Plan.Writes) + 2
 	for round := 0; round < maxRounds; round++ {
-		db, err := docdb.Open(docdb.WithPath(dbPath), docdb.WithBackend(backend))
+		db, err := docdb.Open(docdb.WithPath(dbPath))
 		if err != nil {
 			return nil, fmt.Errorf("chaos: seed %d round %d: reopen: %w", seed, round, err)
 		}
@@ -122,8 +120,8 @@ func Run(ctx context.Context, seed int64, dbPath, backend string) (*Result, erro
 			return res, nil
 		}
 		// Crash semantics: abandon the database without Close (a real crash
-		// flushes nothing), then lose an unsynced log suffix.
-		if err := truncateTail(dbPath, res.Campaign, crash.TruncateTail); err != nil {
+		// flushes nothing), then lose the unsynced log suffix.
+		if err := truncateTail(dbPath, res.Campaign); err != nil {
 			return nil, fmt.Errorf("chaos: seed %d round %d: %w", seed, round, err)
 		}
 		// A plan-armed crash cancels roundCtx on purpose; a cancelled parent

@@ -27,10 +27,9 @@ type World struct {
 }
 
 // NewWorld builds the default SCIONLab world with the given seed. When
-// dbPath is non-empty the database persists to (and replays from) that
-// path through the named docdb storage backend ("jsonl", "segment", or ""
-// to auto-detect an existing log's format); otherwise it is in-memory.
-func NewWorld(seed int64, dbPath, dbBackend string) (*World, error) {
+// dbPath is non-empty the database persists to (and replays from) the
+// docdb segment directory at that path; otherwise it is in-memory.
+func NewWorld(seed int64, dbPath string) (*World, error) {
 	topo := topology.DefaultWorld()
 	net := simnet.New(topo, simnet.Options{Seed: seed})
 	daemon, err := sciond.New(topo, net, topology.MyAS)
@@ -40,7 +39,7 @@ func NewWorld(seed int64, dbPath, dbBackend string) (*World, error) {
 	var db *docdb.DB
 	var closer func() error
 	if dbPath != "" {
-		db, err = docdb.Open(docdb.WithPath(dbPath), docdb.WithBackend(dbBackend))
+		db, err = docdb.Open(docdb.WithPath(dbPath))
 		if err != nil {
 			return nil, err
 		}
@@ -54,7 +53,7 @@ func NewWorld(seed int64, dbPath, dbBackend string) (*World, error) {
 	return &World{Topo: topo, Net: net, Daemon: daemon, DB: db, closeDB: closer}, nil
 }
 
-// Close flushes and closes a journal-backed database.
+// Close flushes and closes a persistent database.
 func (w *World) Close() error {
 	if w.closeDB != nil {
 		return w.closeDB()

@@ -10,7 +10,7 @@ import (
 )
 
 func TestNewWorldInMemory(t *testing.T) {
-	w, err := NewWorld(1, "", "")
+	w, err := NewWorld(1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,8 +27,8 @@ func TestNewWorldInMemory(t *testing.T) {
 }
 
 func TestNewWorldJournal(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "db.jsonl")
-	w, err := NewWorld(1, path, "")
+	path := filepath.Join(t.TempDir(), "db.db")
+	w, err := NewWorld(1, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestNewWorldJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Re-open: seeded servers persist, no duplicate seeding.
-	w2, err := NewWorld(1, path, "")
+	w2, err := NewWorld(1, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,13 +47,13 @@ func TestNewWorldJournal(t *testing.T) {
 }
 
 func TestNewWorldBadPath(t *testing.T) {
-	if _, err := NewWorld(1, filepath.Join(t.TempDir(), "no", "dir", "db.jsonl"), ""); err == nil {
+	if _, err := NewWorld(1, filepath.Join(t.TempDir(), "no", "dir", "db.db")); err == nil {
 		t.Error("bad journal path accepted")
 	}
 }
 
 func TestResolveDestination(t *testing.T) {
-	w, err := NewWorld(1, "", "")
+	w, err := NewWorld(1, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,17 +72,12 @@ func benchCollection(b *testing.B, n int) *Collection {
 
 func sizeName(n int) string { return fmt.Sprintf("n=%dk", n/1000) }
 
-// benchBackends are the persistent storage backends the backend-labeled
-// benchmarks compare. cmd/benchjson parses the "backend=<name>" path
-// element into the trajectory's backend label.
-var benchBackends = []string{BackendJSONL, BackendSegment}
-
 // openBenchDB opens a fresh persistent database for one benchmark
 // iteration.
-func openBenchDB(b *testing.B, backend string, opts ...Option) *DB {
+func openBenchDB(b *testing.B, opts ...Option) *DB {
 	b.Helper()
 	path := filepath.Join(b.TempDir(), "bench.db")
-	db, err := Open(append([]Option{WithPath(path), WithBackend(backend)}, opts...)...)
+	db, err := Open(append([]Option{WithPath(path)}, opts...)...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -105,10 +100,10 @@ func insertBatches(b *testing.B, col *Collection, docs []Document) {
 }
 
 // BenchmarkDocDBInsert measures batched insertion (the §4.2.2 multi-insert
-// path) of 1000-document batches into an indexed collection. The unlabeled
-// sub-runs keep the historical in-memory trajectory; the backend= sub-runs
-// measure the same workload journaled through each storage backend,
-// including the closing Flush (the runner's per-batch durability point).
+// path) of 1000-document batches into an indexed collection. The n= sub-runs
+// keep the historical in-memory trajectory; the segment/ sub-runs measure
+// the same workload logged to a segment directory, including the closing
+// Flush (the runner's per-batch durability point).
 func BenchmarkDocDBInsert(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(sizeName(n), func(b *testing.B) {
@@ -125,94 +120,18 @@ func BenchmarkDocDBInsert(b *testing.B) {
 			}
 		})
 	}
-	for _, backend := range benchBackends {
-		for _, n := range benchSizes {
-			b.Run(fmt.Sprintf("backend=%s/%s", backend, sizeName(n)), func(b *testing.B) {
-				docs := benchDocs(n)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					db := openBenchDB(b, backend)
-					col := db.Collection("paths_stats")
-					ensureBenchIndexes(col)
-					b.StartTimer()
-					insertBatches(b, col, docs)
-					if err := db.Flush(); err != nil {
-						b.Fatal(err)
-					}
-					b.StopTimer()
-					if err := db.Close(); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkDocDBLoad measures cold open + full replay of an n-document log
-// — the monitor-restart path, and the headline number of the storage
-// redesign: binary frame decoding (segment) versus per-line JSON decoding
-// (jsonl) over identical document streams.
-func BenchmarkDocDBLoad(b *testing.B) {
-	for _, backend := range benchBackends {
-		for _, n := range benchSizes {
-			b.Run(fmt.Sprintf("backend=%s/%s", backend, sizeName(n)), func(b *testing.B) {
-				path := filepath.Join(b.TempDir(), "bench.db")
-				db, err := Open(WithPath(path), WithBackend(backend))
-				if err != nil {
-					b.Fatal(err)
-				}
-				insertBatches(b, db.Collection("paths_stats"), benchDocs(n))
-				if err := db.Close(); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					db, err := Open(WithPath(path), WithBackend(backend))
-					if err != nil {
-						b.Fatal(err)
-					}
-					if db.Collection("paths_stats").Count() != n {
-						b.Fatal("short replay")
-					}
-					b.StopTimer()
-					if err := db.Close(); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkDocDBShardedInsert measures concurrent batch writers spread over
-// four collections — the workload the segment backend shards per collection
-// while jsonl serializes every writer on one journal lock.
-func BenchmarkDocDBShardedInsert(b *testing.B) {
-	const collections, perCollection = 4, 4000
-	for _, backend := range benchBackends {
-		b.Run(fmt.Sprintf("backend=%s", backend), func(b *testing.B) {
-			docs := benchDocs(perCollection)
+	for _, n := range benchSizes {
+		b.Run("segment/"+sizeName(n), func(b *testing.B) {
+			docs := benchDocs(n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				db := openBenchDB(b, backend)
+				db := openBenchDB(b)
+				col := db.Collection("paths_stats")
+				ensureBenchIndexes(col)
 				b.StartTimer()
-				var wg sync.WaitGroup
-				for w := 0; w < collections; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						insertBatches(b, db.Collection(fmt.Sprintf("shard%d", w)), docs)
-					}(w)
-				}
-				wg.Wait()
+				insertBatches(b, col, docs)
 				if err := db.Flush(); err != nil {
 					b.Fatal(err)
 				}
@@ -226,37 +145,30 @@ func BenchmarkDocDBShardedInsert(b *testing.B) {
 	}
 }
 
-// BenchmarkDocDBGroupCommit measures synchronous-durability writers: every
-// batch fsynced before it returns, concurrent batches coalescing into
-// shared group-commit rounds.
-func BenchmarkDocDBGroupCommit(b *testing.B) {
-	const writers, batches, batchSize = 4, 10, 50
-	docs := benchDocs(writers * batches * batchSize)
-	for _, backend := range benchBackends {
-		b.Run(fmt.Sprintf("backend=%s", backend), func(b *testing.B) {
+// BenchmarkDocDBLoad measures cold open + full replay of an n-document
+// segment log — the monitor-restart path.
+func BenchmarkDocDBLoad(b *testing.B) {
+	for _, n := range benchSizes {
+		b.Run(sizeName(n), func(b *testing.B) {
+			path := filepath.Join(b.TempDir(), "bench.db")
+			db, err := Open(WithPath(path))
+			if err != nil {
+				b.Fatal(err)
+			}
+			insertBatches(b, db.Collection("paths_stats"), benchDocs(n))
+			if err := db.Close(); err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				db := openBenchDB(b, backend, WithSyncPolicy(SyncGroupCommit))
-				b.StartTimer()
-				var wg sync.WaitGroup
-				for w := 0; w < writers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						col := db.Collection("paths_stats")
-						base := w * batches * batchSize
-						for k := 0; k < batches; k++ {
-							lo := base + k*batchSize
-							if err := col.InsertMany(docs[lo : lo+batchSize]); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}(w)
+				db, err := Open(WithPath(path))
+				if err != nil {
+					b.Fatal(err)
 				}
-				wg.Wait()
+				if db.Collection("paths_stats").Count() != n {
+					b.Fatal("short replay")
+				}
 				b.StopTimer()
 				if err := db.Close(); err != nil {
 					b.Fatal(err)
@@ -264,6 +176,75 @@ func BenchmarkDocDBGroupCommit(b *testing.B) {
 				b.StartTimer()
 			}
 		})
+	}
+}
+
+// BenchmarkDocDBShardedInsert measures concurrent batch writers spread over
+// four collections — the workload the segment log shards per collection,
+// so the writers never serialize on one file lock.
+func BenchmarkDocDBShardedInsert(b *testing.B) {
+	const collections, perCollection = 4, 4000
+	docs := benchDocs(perCollection)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		db := openBenchDB(b)
+		b.StartTimer()
+		var wg sync.WaitGroup
+		for w := 0; w < collections; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				insertBatches(b, db.Collection(fmt.Sprintf("shard%d", w)), docs)
+			}(w)
+		}
+		wg.Wait()
+		if err := db.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := db.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
+
+// BenchmarkDocDBGroupCommit measures synchronous-durability writers: every
+// batch fsynced before it returns, concurrent batches coalescing into
+// shared group-commit rounds.
+func BenchmarkDocDBGroupCommit(b *testing.B) {
+	const writers, batches, batchSize = 4, 10, 50
+	docs := benchDocs(writers * batches * batchSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		db := openBenchDB(b, WithSyncPolicy(SyncGroupCommit))
+		b.StartTimer()
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				col := db.Collection("paths_stats")
+				base := w * batches * batchSize
+				for k := 0; k < batches; k++ {
+					lo := base + k*batchSize
+					if err := col.InsertMany(docs[lo : lo+batchSize]); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		b.StopTimer()
+		if err := db.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }
 
@@ -427,43 +408,39 @@ func BenchmarkDocDBDelete(b *testing.B) {
 // records for replay to apply.
 func BenchmarkDocDBReplayDeletes(b *testing.B) {
 	const n, match = 30000, 32
-	for _, backend := range benchBackends {
-		b.Run(fmt.Sprintf("backend=%s", backend), func(b *testing.B) {
-			path := filepath.Join(b.TempDir(), "bench.db")
-			db, err := Open(WithPath(path), WithBackend(backend))
-			if err != nil {
-				b.Fatal(err)
-			}
-			docs := deleteBenchDocs(n, match)
-			col := db.Collection("paths")
-			col.EnsureIndex("server_id")
-			insertBatches(b, col, docs)
-			for lo := 0; lo < n; lo += match {
-				hi := min(lo+match, n)
-				col.Delete(Eq("server_id", lo/match))
-				if err := col.InsertMany(docs[lo:hi]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := db.Close(); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				db, err := Open(WithPath(path), WithBackend(backend))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if db.Collection("paths").Count() != n {
-					b.Fatal("short replay")
-				}
-				b.StopTimer()
-				if err := db.Close(); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
-		})
+	path := filepath.Join(b.TempDir(), "bench.db")
+	db, err := Open(WithPath(path))
+	if err != nil {
+		b.Fatal(err)
+	}
+	docs := deleteBenchDocs(n, match)
+	col := db.Collection("paths")
+	col.EnsureIndex("server_id")
+	insertBatches(b, col, docs)
+	for lo := 0; lo < n; lo += match {
+		hi := min(lo+match, n)
+		col.Delete(Eq("server_id", lo/match))
+		if err := col.InsertMany(docs[lo:hi]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		db, err := Open(WithPath(path))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if db.Collection("paths").Count() != n {
+			b.Fatal("short replay")
+		}
+		b.StopTimer()
+		if err := db.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }

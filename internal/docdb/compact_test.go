@@ -2,13 +2,12 @@ package docdb
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 )
 
 func TestCompactShrinksJournal(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "db.jsonl")
+	path := filepath.Join(t.TempDir(), "db")
 	db, err := Open(WithPath(path))
 	if err != nil {
 		t.Fatal(err)
@@ -27,23 +26,15 @@ func TestCompactShrinksJournal(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	before, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	before := logBytes(t, path)
 	if err := db.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	after, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Size() >= before.Size() {
-		t.Errorf("compaction did not shrink: %d -> %d bytes", before.Size(), after.Size())
+	if after := logBytes(t, path); after >= before {
+		t.Errorf("compaction did not shrink: %d -> %d bytes", before, after)
 	}
 
-	// Data intact in memory and the journal stays writable.
+	// Data intact in memory and the log stays writable.
 	if c.Count() != 150 {
 		t.Fatalf("count %d after compact", c.Count())
 	}
@@ -64,7 +55,7 @@ func TestCompactShrinksJournal(t *testing.T) {
 	if c2.Count() != 151 {
 		t.Fatalf("replayed %d docs, want 151", c2.Count())
 	}
-	if d := c2.Get("d50"); d == nil || d["touched"] != 4.0 {
+	if d := c2.Get("d50"); d == nil || d["touched"] != int64(4) {
 		t.Errorf("update lost in compaction: %v", d)
 	}
 	if c2.Get("d199") != nil {
@@ -82,7 +73,7 @@ func TestCompactInMemoryFails(t *testing.T) {
 }
 
 func TestCompactDroppedCollectionStaysGone(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "db.jsonl")
+	path := filepath.Join(t.TempDir(), "db")
 	db, err := Open(WithPath(path))
 	if err != nil {
 		t.Fatal(err)

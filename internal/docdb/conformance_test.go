@@ -1,12 +1,11 @@
 package docdb
 
-// The backend conformance suite: every Backend implementation must pass
-// every check here against the same operation scripts. Each Test* function
-// below runs once per entry in conformanceBackends, so adding a backend to
-// that slice (and to openBackend) is all it takes to put it under the full
-// contract — replay equivalence against an in-memory oracle, crash and
+// The persistence conformance suite: the contract the segment log keeps,
+// checked against an in-memory oracle running the same operation scripts —
+// replay equivalence, the reopen type contract, flush visibility, crash and
 // torn-tail recovery, failpoint semantics, generation counters, compaction
-// and concurrent commit.
+// and concurrent commit. Each Test* runs its persistent side as a "segment"
+// subtest, named for the on-disk format under test.
 
 import (
 	"encoding/json"
@@ -14,47 +13,36 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 )
 
-var conformanceBackends = []string{BackendJSONL, BackendSegment}
-
-// conformancePath returns a fresh persistence path appropriate for the
-// backend (file for jsonl, directory for segment — created lazily by Open).
-func conformancePath(t testing.TB, backend string) string {
+// onSegment runs fn as the "segment" subtest with a fresh database path
+// that does not exist yet (Open creates the directory).
+func onSegment(t *testing.T, fn func(t *testing.T, path string)) {
 	t.Helper()
-	if backend == BackendSegment {
-		return filepath.Join(t.TempDir(), "db.seg")
-	}
-	return filepath.Join(t.TempDir(), "db.jsonl")
+	t.Run("segment", func(t *testing.T) {
+		fn(t, filepath.Join(t.TempDir(), "db"))
+	})
 }
 
-// forEachBackend runs fn as one subtest per backend.
-func forEachBackend(t *testing.T, fn func(t *testing.T, backend, path string)) {
+// mustOpenPath opens the persistent database at path.
+func mustOpenPath(t testing.TB, path string, extra ...Option) *DB {
 	t.Helper()
-	for _, backend := range conformanceBackends {
-		t.Run(backend, func(t *testing.T) {
-			fn(t, backend, conformancePath(t, backend))
-		})
-	}
-}
-
-// mustOpenBackend opens a persistent database on the backend under test.
-func mustOpenBackend(t testing.TB, backend, path string, extra ...Option) *DB {
-	t.Helper()
-	db, err := Open(append([]Option{WithPath(path), WithBackend(backend)}, extra...)...)
+	db, err := Open(append([]Option{WithPath(path)}, extra...)...)
 	if err != nil {
-		t.Fatalf("open %s %s: %v", backend, path, err)
+		t.Fatalf("open %s: %v", path, err)
 	}
 	return db
 }
 
 // snapshotJSON renders the database as collection -> id -> canonical JSON.
-// JSON is the comparison domain on purpose: replay turns ints into float64
-// (jsonl) or int64 (segment) while the in-memory oracle holds int, and
-// canonical encoding (sorted keys, 7 and 7.0 both rendering "7") erases
-// exactly that representational difference and nothing else.
+// JSON is the comparison domain on purpose: replay turns int into int64
+// while the in-memory oracle holds int, and canonical encoding (sorted
+// keys, int 7 and int64 7 both rendering "7") erases exactly that
+// representational difference and nothing else. TestConformanceReopenTypes pins the types
+// themselves.
 func snapshotJSON(t testing.TB, db *DB) map[string]map[string]string {
 	t.Helper()
 	out := make(map[string]map[string]string)
@@ -142,12 +130,12 @@ func conformanceScript(t testing.TB, db *DB) {
 // must reconstruct exactly the state an in-memory database reaches from the
 // same script, and a second reopen must be a fixed point.
 func TestConformanceReplayEquivalence(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, backend, path string) {
+	onSegment(t, func(t *testing.T, path string) {
 		oracle := MustOpen()
 		conformanceScript(t, oracle)
 		want := snapshotJSON(t, oracle)
 
-		db := mustOpenBackend(t, backend, path)
+		db := mustOpenPath(t, path)
 		conformanceScript(t, db)
 		diffJSONSnapshots(t, snapshotJSON(t, db), want)
 		if err := db.Close(); err != nil {
@@ -155,60 +143,119 @@ func TestConformanceReplayEquivalence(t *testing.T) {
 		}
 
 		for round := 0; round < 2; round++ {
-			db, err := Open(WithPath(path), WithBackend(backend))
-			if err != nil {
-				t.Fatalf("reopen %d: %v", round, err)
-			}
+			db := mustOpenPath(t, path)
 			diffJSONSnapshots(t, snapshotJSON(t, db), want)
-			if db.Backend() != backend {
-				t.Fatalf("backend %q, want %q", db.Backend(), backend)
-			}
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}
 		}
+	})
+}
 
-		// Auto-detection must resolve the existing on-disk state to the same
-		// backend without being told.
-		db2, err := Open(WithPath(path))
-		if err != nil {
+// reopenPoint is a named struct with no codec tag of its own: it is stored
+// through the JSON fallback.
+type reopenPoint struct {
+	X int     `json:"x"`
+	Y float64 `json:"y"`
+}
+
+// TestConformanceReopenTypes pins what a close-and-reopen returns for each
+// kind of value the engine stores: int widens to int64; int64, float64
+// (whole-valued ones too), string, bool, nil and []string come back as
+// themselves; lists and nested documents come back with their elements
+// under the same rules, a map[string]any as a Document; and any other type
+// comes back as its JSON decoded — numbers as float64, objects as
+// Documents.
+func TestConformanceReopenTypes(t *testing.T) {
+	onSegment(t, func(t *testing.T, path string) {
+		in := Document{
+			"_id":     "types",
+			"int":     7,
+			"int64":   int64(-1) << 40,
+			"float":   2.5,
+			"whole":   7.0,
+			"string":  "17-ffaa:1:1 → up",
+			"bool":    true,
+			"nil":     nil,
+			"list":    []any{1, "two", 3.0, nil, []any{int64(4)}},
+			"strings": []string{"up", ""},
+			"doc":     Document{"hops": 6, "inner": Document{"ok": false}},
+			"map":     map[string]any{"k": "v", "n": 2},
+			"json":    reopenPoint{X: 3, Y: 1.5},
+		}
+		want := Document{
+			"_id":     "types",
+			"int":     int64(7),
+			"int64":   int64(-1) << 40,
+			"float":   2.5,
+			"whole":   7.0,
+			"string":  "17-ffaa:1:1 → up",
+			"bool":    true,
+			"nil":     nil,
+			"list":    []any{int64(1), "two", 3.0, nil, []any{int64(4)}},
+			"strings": []string{"up", ""},
+			"doc":     Document{"hops": int64(6), "inner": Document{"ok": false}},
+			"map":     Document{"k": "v", "n": int64(2)},
+			"json":    Document{"x": 3.0, "y": 1.5},
+		}
+		db := mustOpenPath(t, path)
+		if err := db.Collection("stats").Insert(in); err != nil {
 			t.Fatal(err)
 		}
-		defer db2.Close()
-		if db2.Backend() != backend {
-			t.Fatalf("auto-detected %q, want %q", db2.Backend(), backend)
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
 		}
-		diffJSONSnapshots(t, snapshotJSON(t, db2), want)
+		db2 := mustOpenPath(t, path)
+		defer db2.Close()
+		got := db2.Collection("stats").Get("types")
+		for k, w := range want {
+			if !reflect.DeepEqual(got[k], w) {
+				t.Errorf("field %q: reopened as %#v, want %#v", k, got[k], w)
+			}
+		}
+		if len(got) != len(want) {
+			t.Errorf("reopened document has %d fields, want %d: %#v", len(got), len(want), got)
+		}
+	})
+}
+
+// TestConformanceFlush: a flushed write is on disk before Close — a second
+// database opened on the same path while the first is still open sees it.
+// This is the measurement runner's per-batch durability point.
+func TestConformanceFlush(t *testing.T) {
+	onSegment(t, func(t *testing.T, path string) {
+		db := mustOpenPath(t, path)
+		defer db.Close()
+		if err := db.Collection("paths").Insert(Document{"_id": "a"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		reader := mustOpenPath(t, path)
+		defer reader.Close()
+		if reader.Collection("paths").Get("a") == nil {
+			t.Error("flushed document not visible before Close")
+		}
 	})
 }
 
 // damageTail simulates a crash's partial final write: bytes of a record
 // that never finished reaching the log.
-func damageTail(t *testing.T, backend, path string) {
+func damageTail(t *testing.T, path string) {
 	t.Helper()
-	target := path
-	if backend == BackendSegment {
-		entries, err := os.ReadDir(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		target = ""
-		for _, e := range entries {
-			if e.Type().IsRegular() {
-				target = filepath.Join(path, e.Name())
-				break
-			}
-		}
-		if target == "" {
-			t.Fatal("no shard file to damage")
-		}
-	}
-	f, err := os.OpenFile(target, os.O_WRONLY|os.O_APPEND, 0o644)
+	names, err := shardFiles(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A plausible torn suffix for either format: for jsonl an unterminated
-	// JSON prefix, for segment a frame header whose payload never arrived.
+	if len(names) == 0 {
+		t.Fatal("no shard file to damage")
+	}
+	f, err := os.OpenFile(filepath.Join(path, names[0]), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A frame header whose payload never arrived, then some of its bytes.
 	if _, err := f.Write([]byte(`{"op":"insert","c":"stats","doc":{"_id":"torn`)); err != nil {
 		t.Fatal(err)
 	}
@@ -218,12 +265,11 @@ func damageTail(t *testing.T, backend, path string) {
 }
 
 // TestConformanceTornTailRecovery: a physically torn tail is dropped on
-// replay, the damage is cut off the file, and — the regression the backend
-// split fixed for jsonl — appends after recovery never merge into damaged
-// bytes: a second reopen still sees everything.
+// replay, the damage is cut off the file, and appends after recovery never
+// merge into damaged bytes: a second reopen still sees everything.
 func TestConformanceTornTailRecovery(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, backend, path string) {
-		db := mustOpenBackend(t, backend, path)
+	onSegment(t, func(t *testing.T, path string) {
+		db := mustOpenPath(t, path)
 		if err := db.Collection("stats").InsertMany([]Document{
 			{"_id": "a", "v": 1}, {"_id": "b", "v": 2},
 		}); err != nil {
@@ -232,9 +278,9 @@ func TestConformanceTornTailRecovery(t *testing.T) {
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
-		damageTail(t, backend, path)
+		damageTail(t, path)
 
-		db2 := mustOpenBackend(t, backend, path)
+		db2 := mustOpenPath(t, path)
 		if n := db2.Collection("stats").Count(); n != 2 {
 			t.Fatalf("after torn-tail reopen: %d docs, want 2", n)
 		}
@@ -245,7 +291,7 @@ func TestConformanceTornTailRecovery(t *testing.T) {
 		if err := db2.Close(); err != nil {
 			t.Fatal(err)
 		}
-		db3 := mustOpenBackend(t, backend, path)
+		db3 := mustOpenPath(t, path)
 		defer db3.Close()
 		for _, id := range []string{"a", "b", "c"} {
 			if db3.Collection("stats").Get(id) == nil {
@@ -261,17 +307,9 @@ type stopAfterFailpoint struct{ n int }
 func (s *stopAfterFailpoint) BeforeWrite(string, string, int) error { return nil }
 func (s *stopAfterFailpoint) ReplayEntry(n int, _ string) bool      { return n < s.n }
 
-// logBytes measures the persisted log: the file size for jsonl, the sorted
-// sum of shard sizes for segment.
+// logBytes measures the persisted log: the sum of its shard sizes.
 func logBytes(t testing.TB, path string) int64 {
 	t.Helper()
-	st, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.IsDir() {
-		return st.Size()
-	}
 	var total int64
 	entries, err := os.ReadDir(path)
 	if err != nil {
@@ -292,8 +330,8 @@ func logBytes(t testing.TB, path string) int64 {
 // next (un-injected) open still sees everything — the chaos harness's crash
 // model depends on both halves.
 func TestConformanceFailpointReplayStop(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, backend, path string) {
-		db := mustOpenBackend(t, backend, path)
+	onSegment(t, func(t *testing.T, path string) {
+		db := mustOpenPath(t, path)
 		col := db.Collection("stats")
 		for i := 0; i < 6; i++ {
 			if err := col.Insert(Document{"_id": fmt.Sprintf("d%d", i), "i": i}); err != nil {
@@ -305,7 +343,7 @@ func TestConformanceFailpointReplayStop(t *testing.T) {
 		}
 		before := logBytes(t, path)
 
-		db2 := mustOpenBackend(t, backend, path, WithFailpoint(&stopAfterFailpoint{n: 4}))
+		db2 := mustOpenPath(t, path, WithFailpoint(&stopAfterFailpoint{n: 4}))
 		if n := db2.Collection("stats").Count(); n != 4 {
 			t.Fatalf("stopped replay applied %d docs, want 4", n)
 		}
@@ -314,7 +352,7 @@ func TestConformanceFailpointReplayStop(t *testing.T) {
 			t.Fatalf("injected stop changed the log: %d -> %d bytes", before, after)
 		}
 
-		db3 := mustOpenBackend(t, backend, path)
+		db3 := mustOpenPath(t, path)
 		defer db3.Close()
 		if n := db3.Collection("stats").Count(); n != 6 {
 			t.Fatalf("after injected stop, clean reopen has %d docs, want 6", n)
@@ -327,8 +365,8 @@ func TestConformanceFailpointReplayStop(t *testing.T) {
 // are destructive (rewrite generation advances), and generations keep
 // moving after reopen.
 func TestConformanceGenerationCounters(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, backend, path string) {
-		db := mustOpenBackend(t, backend, path)
+	onSegment(t, func(t *testing.T, path string) {
+		db := mustOpenPath(t, path)
 		col := db.Collection("stats")
 		if err := col.InsertMany([]Document{{"_id": "a"}, {"_id": "b"}}); err != nil {
 			t.Fatal(err)
@@ -340,7 +378,7 @@ func TestConformanceGenerationCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		db2 := mustOpenBackend(t, backend, path)
+		db2 := mustOpenPath(t, path)
 		defer db2.Close()
 		col2 := db2.Collection("stats")
 		gen, rew := col2.Generation(), col2.RewriteGeneration()
@@ -365,8 +403,8 @@ func TestConformanceGenerationCounters(t *testing.T) {
 // TestConformanceCompact: compaction shrinks the log, preserves the exact
 // state across reopen, and a dropped collection stays gone afterwards.
 func TestConformanceCompact(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, backend, path string) {
-		db := mustOpenBackend(t, backend, path)
+	onSegment(t, func(t *testing.T, path string) {
+		db := mustOpenPath(t, path)
 		col := db.Collection("stats")
 		for round := 0; round < 20; round++ {
 			if _, err := col.UpsertMany([]Document{
@@ -401,7 +439,7 @@ func TestConformanceCompact(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		db2 := mustOpenBackend(t, backend, path)
+		db2 := mustOpenPath(t, path)
 		defer db2.Close()
 		if db2.Collection("stats").Get("post") == nil {
 			t.Fatal("post-compact insert lost")
@@ -411,19 +449,10 @@ func TestConformanceCompact(t *testing.T) {
 				t.Fatal("dropped collection resurrected by compaction")
 			}
 		}
-		if got := db2.Collection("stats").Get("hot"); got == nil || got["round"] != canonicalRound(backend) {
+		if got := db2.Collection("stats").Get("hot"); got == nil || got["round"] != int64(19) {
 			t.Fatalf("hot doc after compact+reopen: %v", got)
 		}
 	})
-}
-
-// canonicalRound is the replayed representation of the final round number
-// (19): float64 through JSON, int64 through the binary codec.
-func canonicalRound(backend string) any {
-	if backend == BackendSegment {
-		return int64(19)
-	}
-	return 19.0
 }
 
 // failNthWrite fails the nth BeforeWrite call with an injected error.
@@ -447,8 +476,8 @@ func (f *failNthWrite) ReplayEntry(int, string) bool { return true }
 // TestConformanceWriteFaultAtomicity: a batch aborted by BeforeWrite leaves
 // no trace — not in memory, and not in the log either (the reopen check).
 func TestConformanceWriteFaultAtomicity(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, backend, path string) {
-		db := mustOpenBackend(t, backend, path, WithFailpoint(&failNthWrite{fail: 2}))
+	onSegment(t, func(t *testing.T, path string) {
+		db := mustOpenPath(t, path, WithFailpoint(&failNthWrite{fail: 2}))
 		col := db.Collection("stats")
 		if err := col.InsertMany([]Document{{"_id": "ok1"}, {"_id": "ok2"}}); err != nil {
 			t.Fatal(err)
@@ -463,7 +492,7 @@ func TestConformanceWriteFaultAtomicity(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		db2 := mustOpenBackend(t, backend, path)
+		db2 := mustOpenPath(t, path)
 		defer db2.Close()
 		col2 := db2.Collection("stats")
 		if n := col2.Count(); n != 3 {
@@ -479,8 +508,8 @@ func TestConformanceWriteFaultAtomicity(t *testing.T) {
 // under SyncGroupCommit — every committed batch must be in the log, and the
 // group committer must not deadlock or drop commits under contention.
 func TestConformanceGroupCommitConcurrent(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, backend, path string) {
-		db := mustOpenBackend(t, backend, path, WithSyncPolicy(SyncGroupCommit))
+	onSegment(t, func(t *testing.T, path string) {
+		db := mustOpenPath(t, path, WithSyncPolicy(SyncGroupCommit))
 		const writers, perWriter = 4, 8
 		var wg sync.WaitGroup
 		errs := make(chan error, writers)
@@ -504,7 +533,7 @@ func TestConformanceGroupCommitConcurrent(t *testing.T) {
 		}
 		// Every Insert returned after its group-commit round: the records are
 		// durable now, with no Flush or Close — reopen the abandoned log.
-		db2 := mustOpenBackend(t, backend, path)
+		db2 := mustOpenPath(t, path)
 		defer db2.Close()
 		total := 0
 		for _, name := range db2.CollectionNames() {
@@ -521,11 +550,11 @@ func TestConformanceGroupCommitConcurrent(t *testing.T) {
 // reopening the persistent side at random points; the canonical-JSON
 // snapshots must agree after every reopen and at the end.
 func TestConformanceRandomizedOracle(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, backend, path string) {
+	onSegment(t, func(t *testing.T, path string) {
 		for _, seed := range []int64{1, 7, 23} {
 			rng := rand.New(rand.NewSource(seed))
 			oracle := MustOpen()
-			db := mustOpenBackend(t, backend, path+fmt.Sprint(seed))
+			db := mustOpenPath(t, path+fmt.Sprint(seed))
 
 			names := []string{"alpha", "beta", "gamma"}
 			apply := func(op func(*DB)) { op(oracle); op(db) }
@@ -565,7 +594,7 @@ func TestConformanceRandomizedOracle(t *testing.T) {
 					if err := db.Close(); err != nil {
 						t.Fatalf("seed %d step %d: close: %v", seed, step, err)
 					}
-					db = mustOpenBackend(t, backend, path+fmt.Sprint(seed))
+					db = mustOpenPath(t, path+fmt.Sprint(seed))
 					diffJSONSnapshots(t, snapshotJSON(t, db), snapshotJSON(t, oracle))
 				}
 			}
@@ -573,27 +602,6 @@ func TestConformanceRandomizedOracle(t *testing.T) {
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}
-		}
-	})
-}
-
-// TestConformanceBackendMismatch: naming the wrong backend for existing
-// on-disk state must fail loudly instead of misreading the log.
-func TestConformanceBackendMismatch(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, backend, path string) {
-		db := mustOpenBackend(t, backend, path)
-		if err := db.Collection("stats").Insert(Document{"_id": "a"}); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Close(); err != nil {
-			t.Fatal(err)
-		}
-		other := BackendSegment
-		if backend == BackendSegment {
-			other = BackendJSONL
-		}
-		if _, err := Open(WithPath(path), WithBackend(other)); err == nil {
-			t.Fatalf("opening %s state as %s succeeded", backend, other)
 		}
 	})
 }
@@ -627,8 +635,8 @@ func mustMatchLive(t *testing.T, got *DB, wantDocs map[string]map[string]string,
 // reopen replays may show them — same documents, same storage order, same
 // Count, before and after a further round of mutations.
 func TestConformanceDeleteCompactReopen(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, backend, path string) {
-		db := mustOpenBackend(t, backend, path)
+	onSegment(t, func(t *testing.T, path string) {
+		db := mustOpenPath(t, path)
 		col := db.Collection("paths")
 		col.EnsureIndex("server_id")
 		const n, groups = 600, 20
@@ -664,7 +672,7 @@ func TestConformanceDeleteCompactReopen(t *testing.T) {
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
-		db2 := mustOpenBackend(t, backend, path)
+		db2 := mustOpenPath(t, path)
 		mustMatchLive(t, db2, wantDocs, wantOrder)
 
 		// The reopened database keeps going: a delete that squeezes, logged
@@ -676,7 +684,7 @@ func TestConformanceDeleteCompactReopen(t *testing.T) {
 		if err := db2.Close(); err != nil {
 			t.Fatal(err)
 		}
-		db3 := mustOpenBackend(t, backend, path)
+		db3 := mustOpenPath(t, path)
 		defer db3.Close()
 		mustMatchLive(t, db3, wantDocs, wantOrder)
 	})
@@ -689,8 +697,8 @@ func TestConformanceDeleteCompactReopen(t *testing.T) {
 // when it rebuilt the id map per deleted document this log took 25 s to
 // open.
 func TestConformanceReplayManyDeletes(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, backend, path string) {
-		db := mustOpenBackend(t, backend, path)
+	onSegment(t, func(t *testing.T, path string) {
+		db := mustOpenPath(t, path)
 		col := db.Collection("paths")
 		col.EnsureIndex("server_id")
 		const groups, per = 700, 30 // 21 000 documents
@@ -723,7 +731,7 @@ func TestConformanceReplayManyDeletes(t *testing.T) {
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
-		db2 := mustOpenBackend(t, backend, path)
+		db2 := mustOpenPath(t, path)
 		defer db2.Close()
 		mustMatchLive(t, db2, wantDocs, wantOrder)
 	})
@@ -736,7 +744,7 @@ func since(col *Collection, pos int) (ids []string, next int, gen, rw int64) {
 }
 
 // TestConformanceCursor pins the arrival cursor (cursor.go ForEachSince) on
-// the in-memory store and on every backend: positions are stable across
+// the in-memory store and on the segment log: positions are stable across
 // appends, so a cursor taken after one batch streams exactly the next ones;
 // every operation that rewrites or removes a stored document — Update,
 // upsert replacement, Delete with and without a squeeze — moves
@@ -837,7 +845,7 @@ func TestConformanceCursor(t *testing.T) {
 		}
 	}
 	t.Run("memory", func(t *testing.T) { run(t, MustOpen(), nil) })
-	forEachBackend(t, func(t *testing.T, backend, path string) {
-		run(t, mustOpenBackend(t, backend, path), func() *DB { return mustOpenBackend(t, backend, path) })
+	onSegment(t, func(t *testing.T, path string) {
+		run(t, mustOpenPath(t, path), func() *DB { return mustOpenPath(t, path) })
 	})
 }

@@ -6,10 +6,10 @@
 // trade-off of §4.2.2), and a query surface with filters, sorting,
 // projection, hash and ordered indexes. Queries are compiled — field paths
 // pre-split and comparators type-specialised — and planned against the
-// collection's indexes (see docs/DOCDB.md). Persistence goes through a
-// pluggable storage backend (see backend.go): an append-only mutation log
-// replayed on open — the greppable JSONL journal or the CRC-framed binary
-// segment store — so a crash costs at most the unflushed batch.
+// collection's indexes (see docs/DOCDB.md). Persistence is an append-only
+// mutation log of CRC-framed binary segments, one shard file per
+// collection, replayed on open (see persist.go), so a crash costs at most
+// the unflushed batch.
 package docdb
 
 import (
@@ -91,15 +91,16 @@ type DB struct {
 
 	mu          sync.RWMutex
 	collections map[string]*Collection
-	backend     Backend   // nil for purely in-memory databases
-	failpoint   Failpoint // nil outside chaos testing (see failpoint.go)
+	backend     *segmentBackend // nil for purely in-memory databases
+	failpoint   Failpoint       // nil outside chaos testing (see failpoint.go)
 }
 
 // Open creates a database. With no options it is purely in-memory; with
-// WithPath it persists through a storage backend (WithBackend selects
-// which; an existing log's format is auto-detected), replaying any
-// existing log so a restarted test-suite continues with its data — the
-// fault-tolerance requirement of §4.1.2.
+// WithPath it persists in a segment directory, replaying any existing log
+// so a restarted test-suite continues with its data — the fault-tolerance
+// requirement of §4.1.2. Open refuses a path that exists as anything but a
+// directory (leaving it untouched) and a path whose parent directory does
+// not exist.
 func Open(opts ...Option) (*DB, error) {
 	var o Options
 	for _, fn := range opts {
@@ -111,12 +112,9 @@ func Open(opts ...Option) (*DB, error) {
 	//lint:ignore lockcheck Open runs before the DB is shared, no concurrent access is possible
 	db.failpoint = o.Failpoint
 	if o.Path == "" {
-		if o.Backend != "" {
-			return nil, fmt.Errorf("docdb: backend %q requires a path (WithPath)", o.Backend)
-		}
 		return db, nil
 	}
-	b, err := openBackend(o)
+	b, err := newSegmentBackend(o.Path, o.Sync)
 	if err != nil {
 		return nil, err
 	}
@@ -164,8 +162,8 @@ func (db *DB) CollectionNames() []string {
 }
 
 // Drop removes a collection and its documents. Under SyncGroupCommit a
-// commit failure is not reported here (sticky backend errors surface on
-// the next Flush/Close).
+// commit failure is not reported here (sticky log errors surface on the
+// next Flush/Close).
 func (db *DB) Drop(name string) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -249,11 +247,10 @@ func (c *Collection) Insert(doc Document) error {
 // or none. This is the paper's "multiple insertions of path statistics"
 // I/O-overhead optimisation (§4.2.2).
 func (c *Collection) InsertMany(docs []Document) error {
-	// The DB read-lock is held across the whole operation so a Compact log
-	// swap (which holds the write lock for snapshot + swap) can never
-	// interleave between the in-memory mutation and its backend append — a
-	// committed batch is always captured by either the snapshot or the
-	// log, never dropped between them.
+	// The DB read-lock is held across the whole operation so Close (which
+	// takes the write lock to detach the log) can never interleave between
+	// the in-memory mutation and its log append — a batch is either wholly
+	// in the log or, once the log is detached, wholly in memory only.
 	c.db.mu.RLock()
 	defer c.db.mu.RUnlock()
 	b, fp := c.db.backend, c.db.failpoint
@@ -318,7 +315,7 @@ func (c *Collection) InsertMany(docs []Document) error {
 // partial batch instead of failing on ErrDuplicateID.
 func (c *Collection) UpsertMany(docs []Document) (replaced int, err error) {
 	// Same lock discipline as InsertMany: the DB read-lock spans mutation +
-	// backend append so Compact can never drop a committed batch.
+	// log append so Close never splits a batch.
 	c.db.mu.RLock()
 	defer c.db.mu.RUnlock()
 	b, fp := c.db.backend, c.db.failpoint
@@ -416,8 +413,8 @@ func (c *Collection) Delete(f Filter) int {
 	c.maybeMergeSortedLocked()
 	c.bumpLocked(true)
 	if b != nil {
-		// Sticky commit errors surface on the next Flush/Close (Delete's
-		// signature predates the backend split).
+		// Sticky commit errors surface on the next Flush/Close (Delete
+		// reports a count, not an error).
 		_ = b.Commit()
 	}
 	return len(positions)

@@ -399,3 +399,13 @@ func TestUpsertMany(t *testing.T) {
 		t.Errorf("failed batch mutated the collection: %d docs", c.Count())
 	}
 }
+
+func TestInMemoryFlushCloseNoop(t *testing.T) {
+	db := MustOpen()
+	if err := db.Flush(); err != nil {
+		t.Error(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Error(err)
+	}
+}

@@ -4,11 +4,9 @@ package docdb
 // test harness make the storage engine fail on demand — batch writes that
 // error before touching any state, log replay that stops early as if the
 // file had been truncated — without changing the engine's own code paths.
-// The contract is backend-agnostic: BeforeWrite fires in the engine before
-// any state or backend is touched, and every Backend implementation
-// consults ReplayEntry once per replayed record (see Backend.Replay), so
-// chaos fault plans run unchanged against jsonl and segment storage.
-// Production databases never set one: every hook site is a single nil check
+// BeforeWrite fires in the engine before any state or log is touched, and
+// replay consults ReplayEntry once per replayed record (see
+// segmentBackend.Replay). Production databases never set one: every hook site is a single nil check
 // on a field that is read under a lock the operation already holds, so the
 // fast path costs nothing measurable (the BenchmarkDocDB* baselines gate
 // this).
@@ -19,15 +17,14 @@ type Failpoint interface {
 	// BeforeWrite is consulted by InsertMany and UpsertMany after the batch
 	// has been validated but before any document is stored or logged. op is
 	// "insert" or "upsert". Returning a non-nil error aborts the whole
-	// batch atomically: the collection, its indexes and the backend log are
-	// left exactly as they were.
+	// batch atomically: the collection, its indexes and the log are left
+	// exactly as they were.
 	BeforeWrite(collection, op string, batch int) error
 
 	// ReplayEntry is consulted once per log record during replay (install
 	// the failpoint with WithFailpoint so it is armed before Open replays),
-	// before the record is applied; n counts records from zero, in the
-	// backend's replay order — chronological for jsonl, shard-by-shard for
-	// segment. Returning false stops replay at that point, as if the log
+	// before the record is applied; n counts records from zero, in replay
+	// order — shard by shard, in sorted shard order. Returning false stops replay at that point, as if the log
 	// had been truncated there — the standard crash model the chaos
 	// harness uses. The file itself is left untouched.
 	ReplayEntry(n int, op string) bool

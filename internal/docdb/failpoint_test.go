@@ -1,10 +1,9 @@
 package docdb
 
 import (
+	"bytes"
 	"errors"
-	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -43,7 +42,7 @@ func (f *testFailpoint) ReplayEntry(n int, op string) bool {
 // TestFailpointBeforeWriteAtomic: a failed batch leaves the collection, its
 // indexes and the journal exactly as they were — for both insert and upsert.
 func TestFailpointBeforeWriteAtomic(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "db.jsonl")
+	path := filepath.Join(t.TempDir(), "db")
 	db, err := Open(WithPath(path))
 	if err != nil {
 		t.Fatal(err)
@@ -95,17 +94,21 @@ func TestFailpointBeforeWriteAtomic(t *testing.T) {
 	if doc := re.Collection("stats").Get("keep"); doc == nil || doc["tag"] != "t1" {
 		t.Fatalf("replayed document = %v, want the pre-fault version", doc)
 	}
-	if data, err := os.ReadFile(path); err != nil {
+	names, err := shardFiles(path)
+	if err != nil {
 		t.Fatal(err)
-	} else if strings.Contains(string(data), `"t2"`) || strings.Contains(string(data), `"t9"`) {
-		t.Fatalf("journal contains data from aborted batches:\n%s", data)
+	}
+	for _, fn := range names {
+		if data := readAll(t, filepath.Join(path, fn)); bytes.Contains(data, []byte("t2")) || bytes.Contains(data, []byte("t9")) {
+			t.Fatalf("shard %s contains data from aborted batches:\n%q", fn, data)
+		}
 	}
 }
 
 // TestFailpointReplayTruncation: ReplayEntry returning false stops replay as
 // if the journal ended there, and the database stays fully usable after.
 func TestFailpointReplayTruncation(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "db.jsonl")
+	path := filepath.Join(t.TempDir(), "db")
 	db, err := Open(WithPath(path))
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +163,7 @@ func TestFailpointReplayTruncation(t *testing.T) {
 
 // TestOpenWithNilFailpoint: a nil failpoint is exactly a plain Open.
 func TestOpenWithNilFailpoint(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "db.jsonl")
+	path := filepath.Join(t.TempDir(), "db")
 	db, err := Open(WithPath(path), WithFailpoint(nil))
 	if err != nil {
 		t.Fatal(err)

@@ -184,15 +184,16 @@ func FuzzCompileFilter(f *testing.F) {
 // "documents since that position" must be exactly what the shadow appended
 // since, for as long as RewriteGeneration has not moved.
 func FuzzCollectionOps(f *testing.F) {
-	// The checked-in corpus (testdata/fuzz/FuzzCollectionOps, three inputs per
-	// backend choice) was picked by random search for histories that reopen
-	// with tombstones in place and build indexes over them.
+	// The checked-in corpus (testdata/fuzz/FuzzCollectionOps) was picked by
+	// random search for histories that build indexes over tombstones; the
+	// segment-* inputs also reopen with the tombstones in place. The first
+	// byte picks the store: even is in-memory, odd is a segment directory.
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w := &fuzzWalker{data: data}
 		opts := []Option(nil)
-		if backend := []string{"", BackendJSONL, BackendSegment}[w.pick(3)]; backend != "" {
-			opts = []Option{WithPath(filepath.Join(t.TempDir(), "fuzz.db")), WithBackend(backend)}
+		if w.pick(2) == 1 {
+			opts = []Option{WithPath(filepath.Join(t.TempDir(), "fuzz.db"))}
 		}
 		db, err := Open(opts...)
 		if err != nil {
@@ -270,7 +271,7 @@ func FuzzCollectionOps(f *testing.F) {
 					col.EnsureSortedIndex(field)
 				}
 			default: // 5: compact and reopen, 6: reopen (replays every delete)
-				if db.Backend() == "" {
+				if opts == nil {
 					continue
 				}
 				if op == 5 {

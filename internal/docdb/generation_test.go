@@ -103,11 +103,11 @@ func TestGenerationMonotonicAcrossDrop(t *testing.T) {
 	}
 }
 
-// TestGenerationAfterReplay pins that journal replay counts as mutation:
+// TestGenerationAfterReplay pins that log replay counts as mutation:
 // a reopened database starts with non-zero generations, so caches built
 // against the previous process cannot validate against it.
 func TestGenerationAfterReplay(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "gen.jsonl")
+	path := filepath.Join(t.TempDir(), "gen")
 	db, err := Open(WithPath(path))
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestGenerationAfterReplay(t *testing.T) {
 	if c2.RewriteGeneration() == 0 {
 		t.Fatal("replayed delete did not move RewriteGeneration")
 	}
-	// The file must still exist (sanity that we exercised the journal path).
+	// The directory must still exist (sanity that we exercised the log path).
 	if _, err := os.Stat(path); err != nil {
 		t.Fatal(err)
 	}

@@ -10,11 +10,11 @@ import (
 // TestJournalConcurrentAppend drives the §4.2.2 fault-tolerant batch path
 // from many goroutines at once: concurrent InsertMany batches interleaved
 // with Flush and Compact. Run under -race (the verify.sh tier-2 pass does)
-// this is the regression proof that the journal pointer and the buffered
-// writer are properly serialized — the seed tree raced DB.Close/Compact's
-// journal swap against InsertMany's append.
+// this is the regression proof that the log pointer and the buffered
+// shard writers are properly serialized against Compact's shard swaps and
+// InsertMany's appends.
 func TestJournalConcurrentAppend(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "stats.jsonl")
+	path := filepath.Join(t.TempDir(), "stats")
 	db, err := Open(WithPath(path))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -53,7 +53,7 @@ func TestJournalConcurrentAppend(t *testing.T) {
 			}
 		}(w)
 	}
-	// Compact concurrently with the writers: the journal swap must not race
+	// Compact concurrently with the writers: the shard swap must not race
 	// the appends.
 	wg.Add(1)
 	go func() {
@@ -75,7 +75,7 @@ func TestJournalConcurrentAppend(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	// Reopen and replay: every batch journaled before the final flush must
+	// Reopen and replay: every batch logged before the final flush must
 	// survive. Compaction plus Close's flush means everything survives.
 	db2, err := Open(WithPath(path))
 	if err != nil {
@@ -91,12 +91,12 @@ func TestJournalConcurrentAppend(t *testing.T) {
 	}
 }
 
-// TestCloseConcurrentWithInsert pins the exact seed-tree race: Close swaps
-// the journal pointer while writers are mid-append. The data outcome is
-// unspecified (late appends may hit the closed journal) but there must be
-// no torn pointer read — -race fails on the seed code.
+// TestCloseConcurrentWithInsert pins the Close race: Close detaches the
+// log pointer while writers are mid-append. The data outcome is
+// unspecified (late appends may hit the closed log) but there must be no
+// torn pointer read — -race fails on an unguarded pointer.
 func TestCloseConcurrentWithInsert(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "race.jsonl")
+	path := filepath.Join(t.TempDir(), "race")
 	db, err := Open(WithPath(path))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -108,7 +108,7 @@ func TestCloseConcurrentWithInsert(t *testing.T) {
 			defer wg.Done()
 			c := db.Collection("c")
 			for i := 0; i < 50; i++ {
-				// Errors are fine once the journal is closed; only the
+				// Errors are fine once the log is closed; only the
 				// race-detector verdict matters here.
 				_ = c.Insert(Document{"_id": fmt.Sprintf("w%d-%d", w, i)})
 			}

@@ -1,12 +1,78 @@
 package docdb
 
+// Persistence. A database opened WithPath keeps an append-only mutation log
+// in a segment directory (segment.go owns the files, wal.go the bytes):
+// one CRC-framed shard file per collection, commit markers at fsync points,
+// group-commit fsync batching and online per-collection compaction. Open
+// replays the log; collection write paths append Records under their own
+// locks; Compact hands the log one collection snapshot at a time. The
+// conformance suite (conformance_test.go) is the contract executable.
+
 import (
 	"fmt"
-	"sort"
 )
 
-// applyReplay applies a backend log record without re-journaling it.
-// Backends call it (via Open) once per replayed record.
+// Record is one mutation of the persistence log — the unit the segment log
+// appends, replays and checkpoints. Exactly one of Doc/ID is meaningful
+// depending on Op.
+type Record struct {
+	// Op is "insert" (Doc set), "delete" (ID set) or "drop" (whole
+	// collection).
+	Op         string
+	Collection string
+	// Doc is the stored document of an insert. The engine encodes each
+	// stored document exactly once per mutation: the log serializes Doc
+	// straight into its write buffer and does not retain it.
+	Doc Document
+	// ID is the deleted document's _id.
+	ID string
+	// Replace marks an insert that overwrites an existing _id (update and
+	// upsert journaling).
+	Replace bool
+}
+
+// SyncPolicy selects when committed batches reach stable storage.
+type SyncPolicy int
+
+const (
+	// SyncOnFlush (the default) makes data durable at explicit Flush,
+	// Close and Compact points only — the measurement runner's contract: a
+	// crash costs at most the batches since the last Flush.
+	SyncOnFlush SyncPolicy = iota
+	// SyncGroupCommit makes every mutating call durable before it returns.
+	// The log amortizes the cost by group commit: concurrent batches share
+	// one fsync per commit window instead of paying one each.
+	SyncGroupCommit
+)
+
+// Options configures Open. The zero value is a purely in-memory database.
+type Options struct {
+	// Path is the segment directory the database persists in. Empty means
+	// in-memory. Open creates the directory itself (but not its parent) and
+	// refuses a path that exists as anything but a directory.
+	Path string
+	// Sync is the durability policy for mutating operations.
+	Sync SyncPolicy
+	// Failpoint is installed before replay, so ReplayEntry can truncate
+	// the log and BeforeWrite is armed from the first write (chaos
+	// testing; see failpoint.go).
+	Failpoint Failpoint
+}
+
+// Option mutates Options functional-options style.
+type Option func(*Options)
+
+// WithPath persists the database at path (see Options.Path).
+func WithPath(path string) Option { return func(o *Options) { o.Path = path } }
+
+// WithSyncPolicy sets the durability policy for mutating operations.
+func WithSyncPolicy(p SyncPolicy) Option { return func(o *Options) { o.Sync = p } }
+
+// WithFailpoint installs fp before replay (see Options.Failpoint).
+func WithFailpoint(fp Failpoint) Option { return func(o *Options) { o.Failpoint = fp } }
+
+// applyReplay applies a log record without re-journaling it. Open feeds it
+// every replayed record.
 func (db *DB) applyReplay(rec Record) {
 	switch rec.Op {
 	case "insert":
@@ -43,24 +109,14 @@ func (db *DB) applyReplay(rec Record) {
 	}
 }
 
-// backendRef snapshots the backend pointer under the DB lock. Concurrent
-// Close swaps the pointer; the backend's own locks then serialize appends
-// against flush and close, so a holder of a stale reference appends into a
-// closed backend's error state rather than racing on the pointer.
-func (db *DB) backendRef() Backend {
+// backendRef snapshots the log pointer under the DB lock. Concurrent Close
+// swaps the pointer; the log's own locks then serialize appends against
+// flush and close, so a holder of a stale reference appends into a closed
+// log's error state rather than racing on the pointer.
+func (db *DB) backendRef() *segmentBackend {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.backend
-}
-
-// Backend reports the storage backend name ("jsonl", "segment") or "" for
-// an in-memory database.
-func (db *DB) Backend() string {
-	b := db.backendRef()
-	if b == nil {
-		return ""
-	}
-	return b.Name()
 }
 
 // Flush forces buffered log writes to disk. The measurement runner calls
@@ -73,7 +129,7 @@ func (db *DB) Flush() error {
 	return b.Flush()
 }
 
-// Close flushes and closes the backend (no-op for in-memory databases).
+// Close flushes and closes the log (no-op for in-memory databases).
 func (db *DB) Close() error {
 	db.mu.Lock()
 	b := db.backend
@@ -90,58 +146,21 @@ func (db *DB) Close() error {
 // dropped collections. Long-running monitors call it to keep the log
 // proportional to the data rather than to the operation history.
 //
-// How much the database blocks depends on the backend. A
-// CollectionCheckpointer (segment) compacts online: one collection at a
-// time under that collection's read lock, so queries everywhere and
-// writers on other collections proceed throughout. A LogCheckpointer
-// (jsonl) holds the DB write lock across the whole snapshot + swap — all a
-// single-file log can offer. Either way a crash mid-compaction leaves a
-// consistent log: rewrites go through temp files and atomic renames.
+// Compaction is online. Each collection is checkpointed under its own read
+// lock (writers to it wait, nothing else does), so queries everywhere and
+// writers on other collections proceed throughout. Shards of dropped
+// collections are then swept under the DB read lock, which excludes Drop
+// and collection creation (both need the write lock). A collection created
+// or dropped between the name snapshot and its checkpoint is simply skipped
+// or swept respectively — its log records are still in its shard, which is
+// correct, just not yet compacted. A crash mid-compaction leaves a
+// consistent log: every rewrite goes through a temp file and an atomic
+// rename.
 func (db *DB) Compact() error {
 	b := db.backendRef()
 	if b == nil {
-		return fmt.Errorf("docdb: compact: in-memory database has no backend")
+		return fmt.Errorf("docdb: compact: in-memory database has no log")
 	}
-	switch cp := b.(type) {
-	case CollectionCheckpointer:
-		return db.compactPerCollection(b, cp)
-	case LogCheckpointer:
-		return db.compactWholeLog(cp)
-	default:
-		return fmt.Errorf("docdb: compact: backend %s supports no checkpoint", b.Name())
-	}
-}
-
-// compactWholeLog is the stop-the-world path: the DB write-lock is held for
-// the whole snapshot + swap. Writers hold the read-lock across mutation +
-// append (see InsertMany), so every committed operation is either in the
-// snapshot or in the new log.
-func (db *DB) compactWholeLog(cp LogCheckpointer) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return cp.CheckpointLog(func(emit func(Record) error) error {
-		names := make([]string, 0, len(db.collections))
-		for n := range db.collections {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			if err := db.collections[name].emitSnapshot(emit); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// compactPerCollection is the online path: each collection is checkpointed
-// under its own read lock (writers to it wait, nothing else does), then
-// shards of dropped collections are swept under the DB read lock (which
-// excludes Drop and collection creation, both of which need the write
-// lock). A collection created or dropped between the name snapshot and its
-// checkpoint is simply skipped or swept respectively — its log records are
-// still in its shard, which is correct, just not yet compacted.
-func (db *DB) compactPerCollection(b Backend, cp CollectionCheckpointer) error {
 	// Surface sticky append errors first: checkpointing a shard whose
 	// recent appends were lost would persist a state the caller was never
 	// told about.
@@ -156,7 +175,7 @@ func (db *DB) compactPerCollection(b Backend, cp CollectionCheckpointer) error {
 			continue
 		}
 		c.mu.RLock()
-		err := cp.CheckpointCollection(name, c.emitSnapshotLocked)
+		err := b.CheckpointCollection(name, c.emitSnapshotLocked)
 		c.mu.RUnlock()
 		db.mu.RUnlock()
 		if err != nil {
@@ -165,22 +184,14 @@ func (db *DB) compactPerCollection(b Backend, cp CollectionCheckpointer) error {
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return cp.DropStaleShards(func(name string) bool {
+	return b.DropStaleShards(func(name string) bool {
 		_, ok := db.collections[name]
 		return ok
 	})
 }
 
-// emitSnapshot emits one insert record per live document under the
-// collection read lock.
-func (c *Collection) emitSnapshot(emit func(Record) error) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.emitSnapshotLocked(emit)
-}
-
-// emitSnapshotLocked is emitSnapshot for callers already holding at least
-// c.mu.RLock.
+// emitSnapshotLocked emits one insert record per live document. Callers
+// hold at least c.mu.RLock.
 func (c *Collection) emitSnapshotLocked(emit func(Record) error) error {
 	for _, d := range c.docs {
 		if d == nil {

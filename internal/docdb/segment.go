@@ -3,11 +3,11 @@ package docdb
 // segmentBackend stores the mutation log as one binary segment file per
 // collection under a directory. Appends for different collections go to
 // different files behind different mutexes, so concurrent InsertMany /
-// UpsertMany on different collections don't serialize on a single journal
-// lock the way jsonl writers do. Frames carry per-record CRC-32C
-// (wal.go); commit markers record fsync points, which is what lets torn
-// tails be detected and cut on replay, and what bounds the chaos
-// harness's crash-truncation model (TruncateLogTail).
+// UpsertMany on different collections don't serialize on a single log
+// lock. Frames carry per-record CRC-32C (wal.go); commit markers record
+// fsync points, which is what lets torn tails be detected and cut on
+// replay, and what bounds the chaos harness's crash-truncation model
+// (TruncateLogTail).
 //
 // Lock order: backend.mu (shard map) before shard.mu, never the reverse;
 // neither is ever held while engine locks are taken.
@@ -16,6 +16,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -30,6 +31,10 @@ const (
 	segShardPrefix = "c-"
 	segShardSuffix = ".seg"
 )
+
+// errLogClosed poisons a closed shard: appends after Close are dropped and
+// reported on the next commit.
+var errLogClosed = errors.New("docdb: log closed")
 
 type segmentBackend struct {
 	dir    string
@@ -56,17 +61,25 @@ type segShard struct {
 	err   error  // sticky shard failure
 }
 
+// newSegmentBackend opens the segment directory at dir, creating it when
+// absent. It refuses the two kinds of outside input it cannot own: a dir
+// whose parent does not exist (Mkdir, not MkdirAll — a typo in a path must
+// not silently grow a tree), and a dir that already exists as something
+// other than a directory — a file in some other format, which must be
+// neither replayed as empty nor overwritten.
 func newSegmentBackend(dir string, policy SyncPolicy) (*segmentBackend, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.Mkdir(dir, 0o755); err != nil && !errors.Is(err, os.ErrExist) {
 		return nil, fmt.Errorf("docdb: segment dir %s: %w", dir, err)
+	}
+	if st, err := os.Stat(dir); err != nil {
+		return nil, fmt.Errorf("docdb: segment dir %s: %w", dir, err)
+	} else if !st.IsDir() {
+		return nil, fmt.Errorf("docdb: %s exists and is not a segment directory", dir)
 	}
 	b := &segmentBackend{dir: dir, policy: policy, shards: make(map[string]*segShard)}
 	b.gc.init()
 	return b, nil
 }
-
-func (b *segmentBackend) Name() string { return BackendSegment }
-func (b *segmentBackend) Path() string { return b.dir }
 
 // escapeShard maps a collection name to a filename-safe token, bijectively:
 // [A-Za-z0-9_-] pass through, everything else is %XX-encoded. Bijectivity
@@ -85,6 +98,10 @@ func escapeShard(name string) string {
 	return sb.String()
 }
 
+// unescapeShard inverts escapeShard. It accepts only tokens escapeShard
+// produces — a lowercase %2f or a raw '.' decodes to a name whose shard
+// file has another spelling, and replaying both spellings into one
+// collection would split its later appends from half its history.
 func unescapeShard(token string) (string, bool) {
 	var sb strings.Builder
 	for i := 0; i < len(token); i++ {
@@ -103,7 +120,8 @@ func unescapeShard(token string) (string, bool) {
 		sb.WriteByte(v)
 		i += 2
 	}
-	return sb.String(), true
+	name := sb.String()
+	return name, escapeShard(name) == token
 }
 
 func (b *segmentBackend) shardPath(collection string) string {
@@ -136,14 +154,11 @@ func (b *segmentBackend) sortedShards() []*segShard {
 	return out
 }
 
-// Replay streams every shard file, in sorted shard order, into apply.
-// Each shard's torn tail (first short, length-implausible, CRC-bad or
-// undecodable frame) is truncated off that file; a failpoint stop ends the
-// whole replay and leaves every file as found.
-func (b *segmentBackend) Replay(fp Failpoint, apply func(Record)) error {
-	entries, err := os.ReadDir(b.dir)
+// shardFiles lists the shard file names in dir, sorted.
+func shardFiles(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return fmt.Errorf("docdb: segment dir %s: %w", b.dir, err)
+		return nil, fmt.Errorf("docdb: segment dir %s: %w", dir, err)
 	}
 	var names []string
 	for _, e := range entries {
@@ -153,6 +168,21 @@ func (b *segmentBackend) Replay(fp Failpoint, apply func(Record)) error {
 		}
 	}
 	sort.Strings(names)
+	return names, nil
+}
+
+// Replay streams every shard file, in sorted shard order, into apply,
+// consulting fp.ReplayEntry (when fp is non-nil) once per record. It is
+// called exactly once, before the DB is shared. Each shard's torn tail
+// (first short, length-implausible, CRC-bad or undecodable frame) is
+// truncated off that file, so later appends never merge into damaged
+// bytes; a failpoint stop ends the whole replay and leaves every file as
+// found.
+func (b *segmentBackend) Replay(fp Failpoint, apply func(Record)) error {
+	names, err := shardFiles(b.dir)
+	if err != nil {
+		return err
+	}
 	recno := 0
 	for _, fn := range names {
 		coll, ok := unescapeShard(strings.TrimSuffix(strings.TrimPrefix(fn, segShardPrefix), segShardSuffix))
@@ -203,10 +233,11 @@ func replaySegmentFile(path string, fp Failpoint, apply func(Record), recno int)
 	if string(hdr[:]) != segMagic {
 		return recno, false, fmt.Errorf("docdb: %s is not a segment file", path)
 	}
-	size := int64(0)
-	if st, serr := f.Stat(); serr == nil {
-		size = st.Size()
+	st, err := f.Stat()
+	if err != nil {
+		return recno, false, fmt.Errorf("docdb: replay %s: %w", path, err)
 	}
+	size := st.Size()
 	good := int64(len(segMagic))
 	pos := good // bytes consumed, including frames later judged torn
 	var payload []byte
@@ -277,8 +308,10 @@ func truncateAt(path string, n int64) error {
 }
 
 // Append encodes the record once, straight into its collection's shard
-// buffer. Writers on different collections contend only on the cheap shard
-// lookup, not on each other's file locks.
+// buffer. It runs under the collection write lock, so it only buffers;
+// errors are sticky and surface on the next Commit/Flush/Close. Writers on
+// different collections contend only on the cheap shard lookup, not on
+// each other's file locks.
 func (b *segmentBackend) Append(rec Record) {
 	s := b.shard(rec.Collection)
 	s.mu.Lock()
@@ -368,7 +401,7 @@ func (s *segShard) closeLocked() error {
 		s.f, s.w = nil, nil
 	}
 	if s.err == nil {
-		s.err = errBeforeReplay // poison further appends
+		s.err = errLogClosed // poison further appends
 	}
 	return cerr
 }
@@ -401,9 +434,11 @@ func (b *segmentBackend) syncForCommit() error {
 	return err
 }
 
-// Commit is a no-op under SyncOnFlush. Under SyncGroupCommit, concurrent
-// batches ride shared fsync rounds: one fsync per dirty shard per round,
-// no matter how many writers commit inside the round's window.
+// Commit is the per-batch durability point, called by every mutating
+// operation after its records are appended. It is a no-op under
+// SyncOnFlush. Under SyncGroupCommit, concurrent batches ride shared fsync
+// rounds: one fsync per dirty shard per round, no matter how many writers
+// commit inside the round's window.
 func (b *segmentBackend) Commit() error {
 	if b.policy != SyncGroupCommit {
 		return nil
@@ -422,7 +457,7 @@ func (b *segmentBackend) Close() error {
 		return b.err
 	}()
 	for _, s := range b.sortedShards() {
-		if serr := s.close(); serr != nil && serr != errBeforeReplay && err == nil {
+		if serr := s.close(); serr != nil && serr != errLogClosed && err == nil {
 			err = serr
 		}
 	}
@@ -519,7 +554,7 @@ func (b *segmentBackend) DropStaleShards(live func(name string) bool) error {
 			}
 			s.f, s.w = nil, nil
 		}
-		s.err = errBeforeReplay
+		s.err = errLogClosed
 		s.mu.Unlock()
 		if err := os.Remove(s.path); err != nil && !os.IsNotExist(err) && firstErr == nil {
 			firstErr = fmt.Errorf("docdb: compact %s: %w", s.path, err)
@@ -531,28 +566,27 @@ func (b *segmentBackend) DropStaleShards(live func(name string) bool) error {
 	return firstErr
 }
 
-// truncateSegmentTail implements TruncateLogTail's crash model for segment
-// directories: every shard loses its entire uncommitted suffix (bytes past
-// its last commit marker — exactly what a crash before the next fsync
-// loses), floored at the end of the record containing marker. Errors if
-// marker appears in no shard.
-func truncateSegmentTail(dir, marker string) error {
-	entries, err := os.ReadDir(dir)
+// TruncateLogTail damages the segment directory at dir the way a crash's
+// lost page-cache suffix would, for fault-injection harnesses (the chaos
+// harness's truncateTail contract, docs/CHAOS.md): every shard loses its
+// entire uncommitted suffix (bytes past its last commit marker — exactly
+// what a crash before the next fsync loses), floored at the end of the
+// record containing marker, a string that must survive (typically the
+// campaign metadata document id). Committed bytes survive because the
+// commit marker was written by an fsync — cutting them would un-happen
+// durability and let a checkpoint outlive statistics it was ordered after.
+//
+// It refuses (returns an error) when marker appears in no shard: cutting a
+// log that never recorded the campaign identity would destroy state a real
+// crash cannot lose.
+func TruncateLogTail(dir, marker string) error {
+	names, err := shardFiles(dir)
 	if err != nil {
-		return fmt.Errorf("docdb: truncate %s: %w", dir, err)
+		return fmt.Errorf("docdb: truncate: %w", err)
 	}
-	var names []string
-	for _, e := range entries {
-		n := e.Name()
-		if e.Type().IsRegular() && strings.HasPrefix(n, segShardPrefix) && strings.HasSuffix(n, segShardSuffix) {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
 	found := false
 	for _, fn := range names {
-		path := filepath.Join(dir, fn)
-		hit, err := truncateShardTail(path, marker)
+		hit, err := truncateShardTail(filepath.Join(dir, fn), marker)
 		if err != nil {
 			return err
 		}

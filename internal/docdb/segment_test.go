@@ -1,10 +1,10 @@
 package docdb
 
-// Unit tests for the segment backend's wire layer (wal.go) and file layer
-// (segment.go): codec round-trips, shard-name escaping, torn-tail replay
-// bounds, crash-truncation bounds and the group committer. The cross-backend
-// behavioural contract lives in conformance_test.go; these tests pin the
-// binary format itself.
+// Unit tests for the segment log's wire layer (wal.go) and file layer
+// (segment.go): codec round-trips, shard-name escaping, Open's refusals,
+// torn-tail replay bounds, crash-truncation bounds and the group committer.
+// The behavioural contract lives in conformance_test.go; these tests pin
+// the binary format and the directory layout themselves.
 
 import (
 	"bytes"
@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -108,6 +109,94 @@ func TestEscapeShardBijective(t *testing.T) {
 		if !ok || back != name {
 			t.Fatalf("unescapeShard(escapeShard(%q)) = %q, %v", name, back, ok)
 		}
+	}
+	// Only escapeShard's own spellings decode: another spelling of the same
+	// name would be a second shard file for one collection.
+	for _, token := range []string{"a%2f", "a.b", "sp ace", "%2", "%zz", "%4A"} {
+		if name, ok := unescapeShard(token); ok {
+			t.Errorf("unescapeShard(%q) accepted a token escapeShard never writes (as %q)", token, name)
+		}
+	}
+}
+
+// writeShardNamed stores one document in collection "a/" and leaves its
+// shard file (escaped c-a%2F.seg) in a fresh segment directory, returning
+// the directory and that file's path.
+func writeShardNamed(t *testing.T) (dir, upper string) {
+	t.Helper()
+	dir = filepath.Join(t.TempDir(), "db")
+	db := mustOpenPath(t, dir)
+	if err := db.Collection("a/").Insert(Document{"_id": "x"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	upper = filepath.Join(dir, segShardPrefix+"a%2F"+segShardSuffix)
+	if _, err := os.Stat(upper); err != nil {
+		t.Fatalf("shard for %q: %v", "a/", err)
+	}
+	return dir, upper
+}
+
+// TestOpenRefusesLowercaseShardName: a shard file spelled c-a%2f.seg is not
+// one escapeShard writes, so Open refuses it instead of replaying it into
+// collection "a/" while appending to c-a%2F.seg.
+func TestOpenRefusesLowercaseShardName(t *testing.T) {
+	dir, upper := writeShardNamed(t)
+	if err := os.Rename(upper, filepath.Join(dir, segShardPrefix+"a%2f"+segShardSuffix)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(WithPath(dir)); err == nil || !strings.Contains(err.Error(), "unrecognized shard file") {
+		t.Fatalf("Open over a lowercase-escaped shard: %v, want an unrecognized shard file error", err)
+	}
+}
+
+// TestOpenRefusesTwoSpellingsOfOneShard: with c-a%2f.seg beside c-a%2F.seg,
+// replaying both into "a/" would split the collection's later appends from
+// half its history; Open refuses the directory.
+func TestOpenRefusesTwoSpellingsOfOneShard(t *testing.T) {
+	dir, upper := writeShardNamed(t)
+	if err := os.WriteFile(filepath.Join(dir, segShardPrefix+"a%2f"+segShardSuffix), readAll(t, upper), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(WithPath(dir)); err == nil || !strings.Contains(err.Error(), "unrecognized shard file") {
+		t.Fatalf("Open over two spellings of one shard: %v, want an unrecognized shard file error", err)
+	}
+}
+
+// TestOpenRefusesExistingFile: a path that already exists as a regular
+// file — a journal in some other format, or anything else — is refused
+// with an error naming it, and the file is left byte-identical: neither
+// replayed as an empty database nor overwritten.
+func TestOpenRefusesExistingFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "stats.db")
+	content := []byte(`{"op":"insert","c":"paths","doc":{"_id":"1_1","hops":6}}` + "\n")
+	if err := os.WriteFile(path, content, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(WithPath(path))
+	if err == nil {
+		db.Close()
+		t.Fatal("Open over a regular file succeeded")
+	}
+	if !strings.Contains(err.Error(), path) {
+		t.Errorf("error %q does not name %s", err, path)
+	}
+	if got := readAll(t, path); !bytes.Equal(got, content) {
+		t.Fatalf("refused file changed:\n%q\nwant\n%q", got, content)
+	}
+}
+
+// TestOpenBadDir: a path whose parent directory does not exist is refused;
+// Open creates the segment directory itself, never its parents.
+func TestOpenBadDir(t *testing.T) {
+	parent := filepath.Join(t.TempDir(), "no", "such", "dir")
+	if _, err := Open(WithPath(filepath.Join(parent, "db"))); err == nil {
+		t.Error("bad path accepted")
+	}
+	if _, err := os.Stat(parent); !os.IsNotExist(err) {
+		t.Errorf("refused Open left %s behind: %v", parent, err)
 	}
 }
 
@@ -236,7 +325,7 @@ func TestSegmentReplayBitFlip(t *testing.T) {
 func TestSegmentReplayRejectsForeignFile(t *testing.T) {
 	_, _, err := replayShardBytes(t, []byte("{\"op\":\"insert\"}\n"))
 	if err == nil {
-		t.Fatal("replaying a jsonl file as a segment succeeded")
+		t.Fatal("replaying a foreign file as a segment succeeded")
 	}
 }
 
@@ -269,7 +358,7 @@ func TestSegmentTruncateTailBounds(t *testing.T) {
 
 	t.Run("cuts uncommitted suffix only", func(t *testing.T) {
 		dir, path := build(t)
-		if err := TruncateLogTail(dir, "meta-123", 1<<20); err != nil {
+		if err := TruncateLogTail(dir, "meta-123"); err != nil {
 			t.Fatal(err)
 		}
 		_, recs, err := replayShardBytes(t, readAll(t, path))
@@ -300,7 +389,7 @@ func TestSegmentTruncateTailBounds(t *testing.T) {
 		if err := os.WriteFile(path, buf, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := TruncateLogTail(dir, "meta-9", 1<<20); err != nil {
+		if err := TruncateLogTail(dir, "meta-9"); err != nil {
 			t.Fatal(err)
 		}
 		_, recs, err := replayShardBytes(t, readAll(t, path))
@@ -313,7 +402,7 @@ func TestSegmentTruncateTailBounds(t *testing.T) {
 	})
 	t.Run("missing marker refuses", func(t *testing.T) {
 		dir, _ := build(t)
-		if err := TruncateLogTail(dir, "absent-marker", 1<<20); err == nil {
+		if err := TruncateLogTail(dir, "absent-marker"); err == nil {
 			t.Fatal("truncating without the marker succeeded")
 		}
 	})
@@ -331,8 +420,8 @@ func readAll(t testing.TB, path string) []byte {
 // TestSegmentShardPerCollection: writers on different collections land in
 // different files, named for their collection.
 func TestSegmentShardPerCollection(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "db.seg")
-	db := mustOpenBackend(t, BackendSegment, dir)
+	dir := filepath.Join(t.TempDir(), "db")
+	db := mustOpenPath(t, dir)
 	for _, name := range []string{"alpha", "paths_stats", "with space"} {
 		if err := db.Collection(name).Insert(Document{"_id": "x"}); err != nil {
 			t.Fatal(err)

@@ -1,6 +1,6 @@
 package docdb
 
-// The segment backend's wire layer: CRC-framed binary records, a compact
+// The segment log's wire layer: CRC-framed binary records, a compact
 // value codec for documents, and the group committer that coalesces
 // concurrent Commit calls into shared fsync rounds. segment.go owns the
 // files; this file owns the bytes.
@@ -164,7 +164,7 @@ const (
 	segValList    = 6
 	segValDoc     = 7
 	segValStrList = 8
-	segValJSON    = 9 // fallback: length-prefixed JSON bytes, decoded like a jsonl field
+	segValJSON    = 9 // fallback: length-prefixed JSON bytes, decoded by encoding/json into any
 )
 
 func appendSegString(buf []byte, s string) []byte {
@@ -226,8 +226,9 @@ func appendSegValue(buf []byte, v any, depth int) ([]byte, error) {
 	case map[string]any:
 		return appendSegDoc(buf, t, depth)
 	default:
-		// Anything else round-trips through JSON, matching what the jsonl
-		// backend would have persisted for the same value.
+		// Anything else round-trips through JSON: a reopen returns its
+		// JSON decoded, numbers as float64 and objects as maps (the reopen
+		// contract, docs/DOCDB.md).
 		raw, err := json.Marshal(t)
 		if err != nil {
 			return buf, fmt.Errorf("docdb: segment: encode %T: %w", t, err)

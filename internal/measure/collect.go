@@ -192,8 +192,8 @@ func (c *collector) liveIndex(id string, serverID, n int) (int, bool) {
 // matches reports whether a stored document whose _id is
 // PathID(serverID, index) is field for field what pathDocument would write
 // for p, without building that document. Numbers compare by value: a
-// document replayed from a journal holds float64 where a fresh one holds
-// int.
+// document replayed from the log holds int64 where a fresh one holds int,
+// and one imported from JSON holds float64.
 func (c *collector) matches(old docdb.Document, serverID, index int, p *pathmgr.Path) bool {
 	if len(old) != pathDocumentFields ||
 		!numEq(old[FServerID], float64(serverID)) ||

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -75,8 +76,8 @@ func collectPathsOracle(db *docdb.DB, d *sciond.Daemon, opts CollectOpts) (Colle
 }
 
 // canonicalPaths renders the paths collection as _id -> canonical JSON, the
-// comparison domain of the chaos harness: it erases the int/float64 split a
-// journal round trip introduces, and nothing else.
+// comparison domain of the chaos harness: it erases the int/int64/float64
+// split a reopen or a JSON round trip introduces, and nothing else.
 func canonicalPaths(t testing.TB, db *docdb.DB) map[string]string {
 	t.Helper()
 	out := map[string]string{}
@@ -175,9 +176,9 @@ var pathMutations = []struct {
 	}},
 }
 
-// jsonRoundTrip rewrites one destination's documents the way a journal
-// replay would have left them: every number a float64. It is not damage —
-// a collect over it must write nothing.
+// jsonRoundTrip rewrites one destination's documents the way a JSON export
+// and re-import would leave them: every number a float64. It is not damage
+// — a collect over it must write nothing.
 func jsonRoundTrip(t testing.TB, col *docdb.Collection, serverID int) {
 	t.Helper()
 	docs := col.Find(docdb.Query{Filter: docdb.Eq(FServerID, serverID)})
@@ -201,15 +202,35 @@ func jsonRoundTrip(t testing.TB, col *docdb.Collection, serverID int) {
 // history on two databases — option changes, probing under a congestion
 // episode, failing lookups, every kind of damage to the stored documents —
 // and demands, after every step, the same paths collection document for
-// document and the same report. On the database under test it also checks
-// what the no-op rule promises: a collect that rewrote nothing moved
-// neither generation and appended nothing.
+// document and the same report. The database under test persists, and some
+// steps close and reopen it: replay hands back int64 where the collect
+// wrote int, which is no change either. On it the test also checks what the
+// no-op rule promises: a collect that rewrote nothing moved neither
+// generation and appended nothing.
 func TestCollectMatchesUnconditionalReplace(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			failing := []int{3 + rng.Intn(5)}
 			got, want := faultySuite(t, seed, failing...), faultySuite(t, seed, failing...)
+			dbPath := filepath.Join(t.TempDir(), "paths.db")
+			reopen := func() *docdb.Collection {
+				t.Helper()
+				if err := got.DB.Close(); err != nil {
+					t.Fatal(err)
+				}
+				db, err := docdb.Open(docdb.WithPath(dbPath))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got.DB = db
+				return db.Collection(ColPaths)
+			}
+			col := reopen() // from the in-memory database to the log at dbPath
+			t.Cleanup(func() { got.DB.Close() })
+			if err := SeedServers(got.DB, got.Daemon.Topology()); err != nil {
+				t.Fatal(err)
+			}
 			// An AS on the way to most destinations drops half of what
 			// crosses it for a while: probed statuses flip in and out.
 			for _, s := range []*Suite{got, want} {
@@ -223,11 +244,10 @@ func TestCollectMatchesUnconditionalReplace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			col := got.DB.Collection(ColPaths)
 			maxPaths := []int{40, 10, 40}
 
 			opts, prev := CollectOpts{}, CollectOpts{Probe: true} // prev: no expectation on the first step
-			noops, repairs := 0, 0
+			noops, repairs, reopenNoops := 0, 0, 0
 			for step := 0; step < 40; step++ {
 				// What this step changes: the options, the weather, the
 				// stored documents — or nothing at all.
@@ -253,6 +273,9 @@ func TestCollectMatchesUnconditionalReplace(t *testing.T) {
 					jsonRoundTrip(t, col, srv.ID)
 					jsonRoundTrip(t, want.DB.Collection(ColPaths), srv.ID)
 					desc = fmt.Sprintf("server %d through JSON", srv.ID)
+				case k >= 8:
+					col = reopen()
+					desc = "close and reopen"
 				case k <= 7:
 					for n := 1 + rng.Intn(3); n > 0; n-- {
 						srv := servers[rng.Intn(len(servers))]
@@ -304,6 +327,9 @@ func TestCollectMatchesUnconditionalReplace(t *testing.T) {
 					if rewritten != len(damaged) {
 						t.Fatalf("step %d (%s): %d destinations rewritten, %d were damaged", step, desc, rewritten, len(damaged))
 					}
+					if desc == "close and reopen" {
+						reopenNoops++
+					}
 				}
 				streamed := 0
 				next, gen2, rewriteGen2 := col.ForEachSince(cursor, func(docdb.Document) { streamed++ })
@@ -321,8 +347,9 @@ func TestCollectMatchesUnconditionalReplace(t *testing.T) {
 					repairs++
 				}
 			}
-			if noops < 3 || repairs < 3 {
-				t.Errorf("history too thin to mean anything: %d no-op collects, %d repairs", noops, repairs)
+			if noops < 3 || repairs < 3 || reopenNoops < 1 {
+				t.Errorf("history too thin to mean anything: %d no-op collects, %d repairs, %d checked collects after a reopen",
+					noops, repairs, reopenNoops)
 			}
 		})
 	}

@@ -51,7 +51,7 @@ func TestPruneStats(t *testing.T) {
 }
 
 func TestRetentionPolicy(t *testing.T) {
-	dbPath := filepath.Join(t.TempDir(), "db.jsonl")
+	dbPath := filepath.Join(t.TempDir(), "db.db")
 	db, err := docdb.Open(docdb.WithPath(dbPath))
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestRetentionPolicy(t *testing.T) {
 	if compactions != 2 {
 		t.Errorf("%d compactions, want 2 (every 2nd apply)", compactions)
 	}
-	// Journal still replayable.
+	// Log still replayable.
 	db.Close()
 	db2, err := docdb.Open(docdb.WithPath(dbPath))
 	if err != nil {
@@ -101,7 +101,7 @@ func TestRetentionPolicy(t *testing.T) {
 	if db2.Collection(ColStats).Count() == 0 {
 		t.Error("all stats lost after retention maintenance")
 	}
-	if fi, err := os.Stat(dbPath); err != nil || fi.Size() == 0 {
-		t.Errorf("journal state: %v %v", fi, err)
+	if entries, err := os.ReadDir(dbPath); err != nil || len(entries) == 0 {
+		t.Errorf("log directory state: %d entries, %v", len(entries), err)
 	}
 }

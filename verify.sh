@@ -46,8 +46,9 @@ go test ./...
 echo "== tier 2: go test -race (concurrency-heavy packages)"
 # docdb also smoke-runs its benchmark suite under the race detector so
 # BenchmarkDocDB* (the BENCH_docdb.json trajectory, see docs/DOCDB.md)
-# cannot rot — including the backend= sub-runs, which put the segment
-# backend's sharded writers and group committer under the race detector.
+# cannot rot — including the segment-log runs (Insert/segment, Load,
+# ShardedInsert, GroupCommit, ReplayDeletes), which put the log's sharded
+# writers and group committer under the race detector.
 # selection and upin carry the snapshot-serving concurrency tests
 # (docs/SERVING.md): the randomized cache-vs-oracle interleavings and the
 # serve-while-measure front-end test.
