@@ -8,14 +8,8 @@
 //
 // Packages follow the go tool's pattern shape ("./...", "./internal/...",
 // "./internal/docdb"); the default is "./...". The process exits 0 when no
-// findings survive suppression (and the baseline, when one is given), 1
-// when findings are reported, and 2 when loading or type-checking fails
-// outright.
-//
-// Baseline workflow: `-write-baseline lint.json` records every current
-// finding as accepted; later runs with `-baseline lint.json` report only
-// regressions. Entries the tree no longer produces are flagged as stale so
-// the baseline shrinks toward empty instead of fossilizing.
+// findings survive suppression, 1 when findings are reported, and 2 when
+// loading or type-checking fails outright.
 package main
 
 import (
@@ -23,8 +17,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"time"
 
 	"github.com/upin/scionpath/internal/lint"
 )
@@ -38,16 +30,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		jsonOut   = fs.Bool("json", false, "emit diagnostics and summary as JSON (schema "+lint.JSONSchemaVersion+")")
-		tests     = fs.Bool("tests", false, "also analyze in-package _test.go files")
 		list      = fs.Bool("list", false, "list analyzers and exit")
 		only      = fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 		dir       = fs.String("dir", ".", "directory to resolve packages from")
 		byCounter = fs.Bool("counts", false, "append per-analyzer finding counts to the text report")
-		baseline  = fs.String("baseline", "", "subtract the findings recorded in this baseline file; report only regressions")
-		writeBase = fs.String("write-baseline", "", "record current findings to this baseline file and exit 0")
 		fix       = fs.Bool("fix", false, "apply machine-applicable fixes in place; only unfixable findings fail the run")
-		parallel  = fs.Int("parallel", 0, "worker count for loading and analysis (0 = GOMAXPROCS, 1 = sequential)")
-		timing    = fs.Bool("timing", false, "print load/analyze wall-clock timing to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -65,9 +52,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	loadStart := time.Now()
-	pkgs, fset, err := lint.Load(lint.LoadConfig{Dir: *dir, IncludeTests: *tests, Parallel: *parallel}, fs.Args()...)
-	loadTime := time.Since(loadStart)
+	pkgs, fset, err := lint.Load(lint.LoadConfig{Dir: *dir}, fs.Args()...)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
@@ -76,43 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "scionlint: no packages matched")
 		return 2
 	}
-
-	runStart := time.Now()
-	diags, suppressed := lint.RunWith(fset, pkgs, analyzers, lint.RunOpts{Parallel: *parallel})
-	runTime := time.Since(runStart)
-	if *timing {
-		fmt.Fprintf(stderr, "scionlint: timing: load %s, analyze %s, total %s (parallel=%d)\n",
-			loadTime.Round(time.Millisecond), runTime.Round(time.Millisecond),
-			(loadTime + runTime).Round(time.Millisecond), *parallel)
-	}
-
-	wd, err := os.Getwd()
-	if err != nil {
-		wd = "."
-	}
-	// Baselines anchor paths at the analyzed tree's root, not the invoking
-	// directory, so a recorded baseline keeps matching when scionlint runs
-	// from somewhere else.
-	anchor, err := filepath.Abs(*dir)
-	if err != nil {
-		anchor = wd
-	}
-
-	if *baseline != "" {
-		base, err := lint.ReadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		var matched int
-		var stale []lint.BaselineEntry
-		diags, matched, stale = base.Filter(anchor, diags)
-		suppressed += matched
-		for _, e := range stale {
-			fmt.Fprintf(stderr, "scionlint: stale baseline entry: %s [%s] %s (x%d) — re-record the baseline\n",
-				e.File, e.Analyzer, e.Message, e.Count)
-		}
-	}
+	diags, suppressed := lint.Run(fset, pkgs, analyzers)
 
 	if *fix {
 		res, err := lint.ApplyFixes(diags)
@@ -126,17 +75,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		diags = res.Remaining
 	}
 
-	if *writeBase != "" {
-		base := lint.NewBaseline(anchor, diags)
-		if err := base.Write(*writeBase); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "scionlint: baseline recorded: %d findings as %d entries -> %s\n",
-			len(diags), len(base.Entries), *writeBase)
-		return 0
+	wd, err := os.Getwd()
+	if err != nil {
+		wd = "."
 	}
-
 	sum := lint.Summarize(pkgs, diags, suppressed)
 	if *jsonOut {
 		if err := lint.WriteJSON(stdout, wd, diags, sum); err != nil {

@@ -24,7 +24,7 @@ func TestRunFindsSeededViolations(t *testing.T) {
 	text := out.String()
 	for _, analyzer := range []string{
 		"lockcheck", "errcheck", "goroutinecapture", "timeafter", "hygiene",
-		"ignorecheck", "determcheck", "lockcheckv2", "ctxcheck", "snapshotcheck",
+		"ignorecheck", "determcheck", "ctxcheck", "snapshotcheck",
 	} {
 		if !strings.Contains(text, "["+analyzer+"]") {
 			t.Errorf("output has no finding from %s:\n%s", analyzer, text)
@@ -109,44 +109,6 @@ func TestRunList(t *testing.T) {
 	}
 }
 
-// TestRunBaselineRoundTrip: recording a baseline and re-running against it
-// must turn the fixture tree's findings into suppressions and exit 0.
-func TestRunBaselineRoundTrip(t *testing.T) {
-	basePath := filepath.Join(t.TempDir(), "lint-baseline.json")
-
-	var out, errOut bytes.Buffer
-	code := run([]string{"-dir", fixturesDir, "-write-baseline", basePath, "./..."}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("write-baseline exit code = %d, want 0\nstderr:\n%s", code, errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "baseline recorded") {
-		t.Errorf("stderr = %q, want a baseline-recorded note", errOut.String())
-	}
-
-	out.Reset()
-	errOut.Reset()
-	code = run([]string{"-dir", fixturesDir, "-baseline", basePath, "./..."}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("baselined run exit code = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out.String(), errOut.String())
-	}
-	if !strings.Contains(out.String(), "0 findings") {
-		t.Errorf("baselined summary = %q, want 0 findings", strings.TrimSpace(out.String()))
-	}
-	if strings.Contains(errOut.String(), "stale baseline entry") {
-		t.Errorf("immediate re-run reported stale entries:\n%s", errOut.String())
-	}
-}
-
-// TestRunBaselineMissingFile: a typoed baseline path must fail loud, not
-// silently disable the filter.
-func TestRunBaselineMissingFile(t *testing.T) {
-	var out, errOut bytes.Buffer
-	code := run([]string{"-dir", fixturesDir, "-baseline", filepath.Join(t.TempDir(), "nope.json"), "./clean"}, &out, &errOut)
-	if code != 2 {
-		t.Fatalf("exit code = %d, want 2", code)
-	}
-}
-
 // TestRunFix applies the ctxcheck rewrite on a throwaway copy of the
 // fixture and verifies both the edit and that unfixable findings remain.
 func TestRunFix(t *testing.T) {
@@ -184,20 +146,5 @@ func TestRunFix(t *testing.T) {
 	// The TODO() in Orphan has no ctx in scope: it must NOT be rewritten.
 	if !strings.Contains(string(fixed), "context.TODO()") {
 		t.Errorf("-fix rewrote the unfixable context.TODO():\n%s", fixed)
-	}
-}
-
-// TestRunTiming pins the -timing line and the -parallel plumbing.
-func TestRunTiming(t *testing.T) {
-	var out, errOut bytes.Buffer
-	code := run([]string{"-dir", fixturesDir, "-timing", "-parallel", "2", "./clean"}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("exit code = %d, want 0\nstderr:\n%s", code, errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "scionlint: timing: load ") {
-		t.Errorf("stderr = %q, want a timing line", errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "(parallel=2)") {
-		t.Errorf("stderr = %q, want the parallel setting echoed", errOut.String())
 	}
 }

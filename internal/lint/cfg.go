@@ -7,7 +7,7 @@ import (
 
 // This file is the second substrate layer: a per-function basic-block
 // control-flow graph, precise enough for the flow-sensitive analyzers
-// (lockcheckv2's held-lock tracking) without trying to be a compiler IR.
+// (lockcheck's held-lock tracking) without trying to be a compiler IR.
 //
 // Simplifications, all conservative for a must-analysis client:
 //

@@ -279,3 +279,50 @@ func TestCFGGotoApproximation(t *testing.T) {
 		t.Error("tail() unreachable: goto approximation severed the fall-through path")
 	}
 }
+
+// A lock acquired only inside a range body must not be held after the loop
+// (the range may iterate zero times), so a post-loop Lock is no
+// self-deadlock.
+func TestRangeBodyFactLeak(t *testing.T) {
+	src := `package p
+
+import "sync"
+
+type C struct{ mu sync.Mutex }
+
+func (c *C) F(m map[int]int) {
+	for k := range m {
+		_ = k
+		c.mu.Lock()
+		c.mu.Unlock()
+		c.mu.Lock()
+	}
+	c.mu.Lock() // not a self-deadlock: the loop may run zero times
+	c.mu.Unlock()
+}
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, info := typeCheckTestFile(t, fset, f)
+	fd := f.Decls[len(f.Decls)-1].(*ast.FuncDecl)
+	spec := lockFacts(fset, info)
+	cfg := NewCFG(fd.Body)
+	entry := cfg.Forward(spec)
+
+	// The post-loop c.mu.Lock() is the last Lock in source order.
+	var post *ast.CallExpr
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if c, ok := n.(*ast.CallExpr); ok {
+			if s, ok := c.Fun.(*ast.SelectorExpr); ok && s.Sel.Name == "Lock" {
+				post = c
+			}
+		}
+		return true
+	})
+	if held := cfg.FactsAt(spec, entry, post); held["c.mu"] != "" {
+		t.Fatalf("c.mu reported held after a possibly-zero-iteration range loop: %v", held)
+	}
+}

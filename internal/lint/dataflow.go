@@ -4,7 +4,7 @@ import "go/ast"
 
 // The third substrate layer: a small forward dataflow driver over the CFG.
 // Facts are string->string maps (key -> value); the driver iterates
-// transfer functions to a fixpoint with a client-chosen join. lockcheckv2
+// transfer functions to a fixpoint with a client-chosen join. lockcheck
 // uses it with intersection join ("must hold") and facts like
 // "c.mu" -> "Lock".
 

@@ -64,7 +64,7 @@ func init() {
 // DeterministicWitness returns, for every function reachable from a
 // //lint:deterministic root, the root that reaches it. Built once per run.
 func (m *Module) DeterministicWitness() map[*types.Func]*types.Func {
-	m.detOnce.Do(func() {
+	if m.detWitness == nil {
 		var roots []*types.Func
 		for _, pkg := range m.Pkgs {
 			if pkg.Info == nil {
@@ -73,7 +73,7 @@ func (m *Module) DeterministicWitness() map[*types.Func]*types.Func {
 			roots = append(roots, deterministicRoots(m.Fset, pkg)...)
 		}
 		m.detWitness = m.Graph().Reachable(roots)
-	})
+	}
 	return m.detWitness
 }
 

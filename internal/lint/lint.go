@@ -20,8 +20,9 @@
 // comment of the enclosing top-level declaration (which suppresses the
 // analyzer for the whole declaration). A whole file opts out with
 // //lint:file-ignore <analyzer> <reason>. The reason is mandatory; an
-// ignore directive without one does not suppress anything and is itself
-// reported by the "ignorecheck" meta-analyzer.
+// ignore directive without one, or naming an analyzer Default() does not
+// have, does not suppress anything and is itself reported by the
+// "ignorecheck" meta-analyzer.
 package lint
 
 import (
@@ -29,10 +30,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Severity classifies a diagnostic. Both severities fail a CI run; the
@@ -91,23 +90,16 @@ type Analyzer struct {
 
 // Module is the whole analyzed package set plus lazily built, shared,
 // immutable-once-built analysis artifacts (call graph, deterministic-root
-// closure, frozen-type set). Passes of one Run share one Module; accessors
-// are safe for concurrent use.
+// closure, frozen-type set, lock analysis). Passes of one Run share one
+// Module.
 type Module struct {
 	Fset *token.FileSet
 	Pkgs []*Package
 
-	graphOnce sync.Once
-	graph     *CallGraph
-
-	detOnce    sync.Once
+	graph      *CallGraph
 	detWitness map[*types.Func]*types.Func
-
-	frozenOnce sync.Once
 	frozen     map[*types.Named]token.Pos
-
-	lockOnce  sync.Once
-	lockWorld *lockWorld
+	lockWorld  *lockWorld
 }
 
 // NewModule wraps a loaded package set for analysis.
@@ -117,7 +109,9 @@ func NewModule(fset *token.FileSet, pkgs []*Package) *Module {
 
 // Graph returns the module call graph, building it on first use.
 func (m *Module) Graph() *CallGraph {
-	m.graphOnce.Do(func() { m.graph = buildCallGraph(m.Pkgs) })
+	if m.graph == nil {
+		m.graph = buildCallGraph(m.Pkgs)
+	}
 	return m.graph
 }
 
@@ -179,52 +173,13 @@ func (p *Pass) makeDiag(pos token.Pos, severity, format string, args ...any) Dia
 	}
 }
 
-// RunOpts tunes Run's execution.
-type RunOpts struct {
-	// Parallel is the number of packages analyzed concurrently (<= 1 means
-	// serial). Output is deterministic regardless.
-	Parallel int
-}
-
-// Run executes the analyzers over the packages and returns surviving
-// diagnostics sorted by position, plus the count of suppressed findings.
-// Packages are analyzed concurrently (one worker per core).
+// Run executes the analyzers over the packages, one package at a time, and
+// returns surviving diagnostics sorted by position, plus the count of
+// suppressed findings.
 func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) (diags []Diagnostic, suppressed int) {
-	return RunWith(fset, pkgs, analyzers, RunOpts{Parallel: runtime.GOMAXPROCS(0)})
-}
-
-// RunWith is Run with explicit options.
-func RunWith(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, opts RunOpts) (diags []Diagnostic, suppressed int) {
 	mod := NewModule(fset, pkgs)
-	type pkgResult struct {
-		diags      []Diagnostic
-		suppressed int
-	}
-	results := make([]pkgResult, len(pkgs))
-
-	// The shared substrate (call graph, root closures) is built lazily
-	// behind sync.Once; forcing it here keeps the per-package workers free
-	// of the one expensive serial step.
-	for _, a := range analyzers {
-		if a.NeedsCallGraph {
-			mod.Graph()
-			break
-		}
-	}
-
-	workers := opts.Parallel
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(pkgs) {
-		workers = len(pkgs)
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	analyze := func(i int) {
-		pkg := pkgs[i]
+	for _, pkg := range pkgs {
 		ignores := collectIgnores(fset, pkg)
-		var res pkgResult
 		for _, a := range analyzers {
 			if (a.NeedsTypes || a.NeedsCallGraph) && pkg.Info == nil {
 				continue
@@ -233,37 +188,12 @@ func RunWith(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, opts R
 			a.Run(pass)
 			for _, d := range pass.diags {
 				if ignores.suppresses(d) {
-					res.suppressed++
+					suppressed++
 					continue
 				}
-				res.diags = append(res.diags, d)
+				diags = append(diags, d)
 			}
 		}
-		results[i] = res
-	}
-	if workers <= 1 {
-		for i := range pkgs {
-			analyze(i)
-		}
-	} else {
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					analyze(i)
-				}
-			}()
-		}
-		for i := range pkgs {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	}
-	for _, res := range results {
-		diags = append(diags, res.diags...)
-		suppressed += res.suppressed
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		if diags[i].File != diags[j].File {
@@ -410,7 +340,6 @@ func Default() []*Analyzer {
 		Hygiene,
 		IgnoreCheck,
 		DetermCheck,
-		LockCheckV2,
 		CtxCheck,
 		SnapshotCheck,
 	}
@@ -441,26 +370,38 @@ func ByName(names string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-// IgnoreCheck reports malformed suppression directives: an ignore without a
-// reason silently suppresses nothing, which is worse than either working or
+// IgnoreCheck reports malformed suppression directives and directives
+// naming an analyzer Default() does not have (a typo, or a retired name):
+// either silently suppresses nothing, which is worse than either working or
 // failing loudly.
 var IgnoreCheck = &Analyzer{
 	Name:     "ignorecheck",
-	Doc:      "report //lint:ignore directives that are missing the mandatory reason",
+	Doc:      "report //lint:ignore directives that are missing the mandatory reason or name an unknown analyzer",
 	Severity: SeverityError,
-	Run: func(pass *Pass) {
-		for _, f := range pass.Pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					dir, ok := parseIgnore(c.Text)
-					if !ok {
-						continue
-					}
-					if dir.analyzer == "" || dir.reason == "" {
-						pass.Reportf(c.Pos(), "malformed lint directive %q: want //lint:ignore <analyzer> <reason>", strings.TrimSpace(c.Text))
-					}
+}
+
+// Run is attached here rather than in the literal above: it reads Default(),
+// which lists IgnoreCheck itself, and Go rejects that as an initialization
+// cycle.
+func init() { IgnoreCheck.Run = runIgnoreCheck }
+
+func runIgnoreCheck(pass *Pass) {
+	known := map[string]bool{"*": true}
+	for _, a := range Default() {
+		known[a.Name] = true
+	}
+	for _, f := range pass.Pkg.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				dir, ok := parseIgnore(c.Text)
+				switch {
+				case !ok:
+				case dir.analyzer == "" || dir.reason == "":
+					pass.Reportf(c.Pos(), "malformed lint directive %q: want //lint:ignore <analyzer> <reason>", strings.TrimSpace(c.Text))
+				case !known[dir.analyzer]:
+					pass.Reportf(c.Pos(), "lint directive names unknown analyzer %q, so it suppresses nothing", dir.analyzer)
 				}
 			}
 		}
-	},
+	}
 }

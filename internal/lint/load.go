@@ -9,11 +9,9 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // Package is one loaded, parsed and (best-effort) type-checked package.
@@ -45,24 +43,10 @@ type LoadConfig struct {
 	// Dir is where pattern resolution starts; the module root is found by
 	// walking up to the nearest go.mod. Defaults to ".".
 	Dir string
-	// IncludeTests adds in-package _test.go files. External test packages
-	// (package foo_test) are not loaded.
-	IncludeTests bool
-	// Parallel caps the loader's worker count for parsing and
-	// type-checking. 0 means GOMAXPROCS; 1 forces the sequential path
-	// (used by verify.sh to demonstrate the speedup).
-	Parallel int
 }
 
-func (cfg LoadConfig) workers() int {
-	n := cfg.Parallel
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	return n
-}
-
-// Load parses and type-checks the packages matching patterns. Patterns
+// Load parses and type-checks the packages matching patterns, in one
+// sequential pass (_test.go files are not loaded). Patterns
 // follow the go tool's shape: "./..." for everything, "./internal/..." for
 // a subtree, "./internal/docdb" for one package. All module packages are
 // loaded (dependencies must type-check in order); patterns select which are
@@ -82,11 +66,11 @@ func Load(cfg LoadConfig, patterns ...string) ([]*Package, *token.FileSet, error
 	}
 
 	fset := token.NewFileSet()
-	pkgs, err := parseTree(fset, root, modPath, cfg.IncludeTests, cfg.workers())
+	pkgs, err := parseTree(fset, root, modPath)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := typeCheck(fset, modPath, pkgs, cfg.workers()); err != nil {
+	if err := typeCheck(fset, modPath, pkgs); err != nil {
 		return nil, nil, err
 	}
 
@@ -123,15 +107,12 @@ func findModule(dir string) (root, modPath string, err error) {
 }
 
 // parseTree walks the module and parses every package directory, skipping
-// testdata, vendor, hidden and underscore-prefixed directories. The walk
-// itself only collects directories; parsing fans out over workers —
-// token.FileSet is documented safe for concurrent use, so the files all
-// land in the shared fset.
-func parseTree(fset *token.FileSet, root, modPath string, includeTests bool, workers int) (map[string]*Package, error) {
-	var dirs []string
+// testdata, vendor, hidden and underscore-prefixed directories.
+func parseTree(fset *token.FileSet, root, modPath string) (map[string]*Package, error) {
+	pkgs := make(map[string]*Package)
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
-			return err
+			return fmt.Errorf("lint: walk %s: %w", root, err)
 		}
 		if !d.IsDir() {
 			return nil
@@ -140,39 +121,13 @@ func parseTree(fset *token.FileSet, root, modPath string, includeTests bool, wor
 		if path != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
 		}
-		dirs = append(dirs, path)
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("lint: walk %s: %w", root, err)
-	}
-
-	parsed := make([]*Package, len(dirs))
-	errs := make([]error, len(dirs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, dir := range dirs {
-		wg.Add(1)
-		go func(i int, dir string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			parsed[i], errs[i] = parseDir(fset, dir, includeTests)
-		}(i, dir)
-	}
-	wg.Wait()
-
-	pkgs := make(map[string]*Package)
-	for i, pkg := range parsed {
-		if errs[i] != nil {
-			return nil, errs[i]
+		pkg, err := parseDir(fset, path)
+		if err != nil || pkg == nil {
+			return err
 		}
-		if pkg == nil {
-			continue
-		}
-		rel, err := filepath.Rel(root, dirs[i])
+		rel, err := filepath.Rel(root, path)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if rel == "." {
 			pkg.Path = modPath
@@ -180,13 +135,17 @@ func parseTree(fset *token.FileSet, root, modPath string, includeTests bool, wor
 			pkg.Path = modPath + "/" + filepath.ToSlash(rel)
 		}
 		pkgs[pkg.Path] = pkg
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return pkgs, nil
 }
 
 // parseDir parses one directory's .go files into a Package, or nil when the
 // directory holds no Go sources.
-func parseDir(fset *token.FileSet, dir string, includeTests bool) (*Package, error) {
+func parseDir(fset *token.FileSet, dir string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("lint: read %s: %w", dir, err)
@@ -195,26 +154,13 @@ func parseDir(fset *token.FileSet, dir string, includeTests bool) (*Package, err
 	importSet := make(map[string]bool)
 	for _, e := range entries {
 		fn := e.Name()
-		if e.IsDir() || !strings.HasSuffix(fn, ".go") || strings.HasPrefix(fn, ".") || strings.HasPrefix(fn, "_") {
-			continue
-		}
-		isTest := strings.HasSuffix(fn, "_test.go")
-		if isTest && !includeTests {
+		if e.IsDir() || !strings.HasSuffix(fn, ".go") || strings.HasSuffix(fn, "_test.go") || strings.HasPrefix(fn, ".") || strings.HasPrefix(fn, "_") {
 			continue
 		}
 		full := filepath.Join(dir, fn)
 		f, err := parser.ParseFile(fset, full, nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("lint: parse %s: %w", full, err)
-		}
-		fileName := f.Name.Name
-		if pkg.Name == "" && !strings.HasSuffix(fileName, "_test") {
-			pkg.Name = fileName
-		}
-		// Skip external test packages (pkg_test): they would need the
-		// compiled test variant of the package under test.
-		if strings.HasSuffix(fileName, "_test") {
-			continue
 		}
 		pkg.Files = append(pkg.Files, f)
 		pkg.Filenames = append(pkg.Filenames, full)
@@ -228,9 +174,7 @@ func parseDir(fset *token.FileSet, dir string, includeTests bool) (*Package, err
 	if len(pkg.Files) == 0 {
 		return nil, nil
 	}
-	if pkg.Name == "" {
-		pkg.Name = pkg.Files[0].Name.Name
-	}
+	pkg.Name = pkg.Files[0].Name.Name
 	for p := range importSet {
 		pkg.imports = append(pkg.imports, p)
 	}
@@ -241,20 +185,14 @@ func parseDir(fset *token.FileSet, dir string, includeTests bool) (*Package, err
 // moduleImporter resolves module-internal imports to already-checked
 // packages and everything else (the standard library) through the source
 // importer, which parses GOROOT sources — no pre-compiled export data or
-// external tooling needed. The mutex makes it safe for concurrent
-// type-checkers: the source importer is NOT concurrency-safe, so stdlib
-// loads serialize through mu (its internal cache keeps repeat imports
-// cheap), and mu also guards the checked map.
+// external tooling needed.
 type moduleImporter struct {
 	modPath string
-	mu      sync.Mutex
 	checked map[string]*types.Package
 	std     types.Importer
 }
 
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if path == m.modPath || strings.HasPrefix(path, m.modPath+"/") {
 		if p, ok := m.checked[path]; ok {
 			return p, nil
@@ -264,44 +202,10 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	return m.std.Import(path)
 }
 
-func (m *moduleImporter) setChecked(path string, p *types.Package) {
-	m.mu.Lock()
-	m.checked[path] = p
-	m.mu.Unlock()
-}
-
-// checkOne type-checks a single package whose module-internal imports have
-// all been checked already. Soft errors accumulate on the package; a hard
-// failure (no usable types.Package at all) is returned.
-func checkOne(fset *token.FileSet, imp *moduleImporter, pkg *Package) error {
-	conf := types.Config{
-		Importer: imp,
-		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	tpkg, err := conf.Check(pkg.Path, fset, pkg.Files, info)
-	if tpkg == nil {
-		return fmt.Errorf("lint: type-check %s: %w", pkg.Path, err)
-	}
-	pkg.Types = tpkg
-	pkg.Info = info
-	imp.setChecked(pkg.Path, tpkg)
-	return nil
-}
-
-// typeCheck checks every package respecting dependency order so that
-// internal imports resolve to fully checked packages. With workers > 1,
-// packages whose internal imports are all satisfied check concurrently —
-// the module's import DAG is wide enough (independent leaf packages) that
-// this wins real wall-clock over the sequential walk. Soft errors are
-// collected per package; a package that fails outright keeps Info == nil
-// and type-needing analyzers skip it.
-func typeCheck(fset *token.FileSet, modPath string, pkgs map[string]*Package, workers int) error {
+// typeCheck checks every package in dependency order so that internal
+// imports resolve to fully checked packages. Soft errors are collected per
+// package; a package whose check fails outright stops the load.
+func typeCheck(fset *token.FileSet, modPath string, pkgs map[string]*Package) error {
 	order, err := topoSort(pkgs) // also rejects import cycles up front
 	if err != nil {
 		return err
@@ -311,67 +215,26 @@ func typeCheck(fset *token.FileSet, modPath string, pkgs map[string]*Package, wo
 		checked: make(map[string]*types.Package, len(pkgs)),
 		std:     importer.ForCompiler(fset, "source", nil),
 	}
-	if workers <= 1 || len(pkgs) < 2 {
-		for _, pkg := range order {
-			if err := checkOne(fset, imp, pkg); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// Ready-queue scheduler: a package becomes ready when its last
-	// module-internal import finishes. A failed dependency still releases
-	// its dependents (their own checks fail loudly via the importer) so the
-	// queue always drains; the first hard error is what callers see.
-	waiting := make(map[string]int, len(pkgs))
-	dependents := make(map[string][]string, len(pkgs))
-	for path, pkg := range pkgs {
-		for _, ipath := range pkg.imports {
-			if _, ok := pkgs[ipath]; ok {
-				waiting[path]++
-				dependents[ipath] = append(dependents[ipath], path)
-			}
-		}
-	}
-	ready := make(chan *Package, len(pkgs))
 	for _, pkg := range order {
-		if waiting[pkg.Path] == 0 {
-			ready <- pkg
+		conf := types.Config{
+			Importer: imp,
+			Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
 		}
+		info := &types.Info{
+			Types:      make(map[ast.Expr]types.TypeAndValue),
+			Defs:       make(map[*ast.Ident]types.Object),
+			Uses:       make(map[*ast.Ident]types.Object),
+			Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		}
+		tpkg, err := conf.Check(pkg.Path, fset, pkg.Files, info)
+		if tpkg == nil {
+			return fmt.Errorf("lint: type-check %s: %w", pkg.Path, err)
+		}
+		pkg.Types = tpkg
+		pkg.Info = info
+		imp.checked[pkg.Path] = tpkg
 	}
-	var (
-		mu       sync.Mutex
-		firstErr error
-		finished int
-	)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for pkg := range ready {
-				err := checkOne(fset, imp, pkg)
-				mu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				for _, dep := range dependents[pkg.Path] {
-					waiting[dep]--
-					if waiting[dep] == 0 {
-						ready <- pkgs[dep]
-					}
-				}
-				finished++
-				if finished == len(pkgs) {
-					close(ready)
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
+	return nil
 }
 
 // topoSort orders packages so every module-internal import precedes its

@@ -11,8 +11,7 @@ import (
 
 // writeLoadModule lays out a small module whose import DAG has width (two
 // independent leaves) and depth (mid imports leaf1, top imports mid), so
-// the concurrent type-check scheduler has both ready-queue fan-out and
-// dependency ordering to get right.
+// the type-check order has dependencies to get right.
 func writeLoadModule(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -63,45 +62,39 @@ func loadedPaths(pkgs []*Package) []string {
 	return out
 }
 
-// The concurrent loader (workers > 1 forces the ready-queue scheduler even
-// on a single-CPU box) must produce the same fully type-checked packages
-// as the sequential one.
-func TestLoadParallelMatchesSequential(t *testing.T) {
+// Every package of the module is type-checked, dependencies first, with no
+// errors.
+func TestLoadTypeChecksInDependencyOrder(t *testing.T) {
 	dir := writeLoadModule(t)
 	want := []string{"loadtest/leaf1", "loadtest/leaf2", "loadtest/mid", "loadtest/top"}
 
-	for _, parallel := range []int{1, 4} {
-		pkgs, _, err := Load(LoadConfig{Dir: dir, Parallel: parallel}, "./...")
-		if err != nil {
-			t.Fatalf("parallel=%d: %v", parallel, err)
+	pkgs, _, err := Load(LoadConfig{Dir: dir}, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := loadedPaths(pkgs); !reflect.DeepEqual(got, want) {
+		t.Fatalf("packages = %v, want %v", got, want)
+	}
+	for _, p := range pkgs {
+		if p.Types == nil || p.Info == nil {
+			t.Errorf("%s not type-checked", p.Path)
 		}
-		if got := loadedPaths(pkgs); !reflect.DeepEqual(got, want) {
-			t.Fatalf("parallel=%d: packages = %v, want %v", parallel, got, want)
-		}
-		for _, p := range pkgs {
-			if p.Types == nil || p.Info == nil {
-				t.Errorf("parallel=%d: %s not type-checked", parallel, p.Path)
-			}
-			if len(p.TypeErrors) > 0 {
-				t.Errorf("parallel=%d: %s has type errors: %v", parallel, p.Path, p.TypeErrors)
-			}
+		if len(p.TypeErrors) > 0 {
+			t.Errorf("%s has type errors: %v", p.Path, p.TypeErrors)
 		}
 	}
 }
 
-// A hard type-check failure in a dependency must not deadlock the
-// concurrent scheduler: dependents are released, the queue drains, and the
-// caller sees an error.
-func TestLoadParallelFailedDependencyDrains(t *testing.T) {
+// A type-check failure in a dependency must surface: either the load fails
+// or the broken package carries its type errors.
+func TestLoadFailedDependencySurfaces(t *testing.T) {
 	dir := writeLoadModule(t)
 	// Break leaf1 so mid (and transitively top) cannot resolve it.
 	broken := filepath.Join(dir, "leaf1", "leaf1.go")
 	if err := os.WriteFile(broken, []byte("package leaf1\n\nfunc One() int { return undefinedIdent }\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	pkgs, _, err := Load(LoadConfig{Dir: dir, Parallel: 4}, "./...")
-	// Soft type errors keep the load alive; either outcome is fine as long
-	// as the call returns (no deadlock) and the breakage is visible.
+	pkgs, _, err := Load(LoadConfig{Dir: dir}, "./...")
 	if err != nil {
 		return
 	}
@@ -112,15 +105,15 @@ func TestLoadParallelFailedDependencyDrains(t *testing.T) {
 	}
 }
 
-// An import cycle is rejected up front by the topological sort, not
-// discovered as a deadlock by the scheduler.
+// An import cycle is rejected up front by the topological sort, before any
+// package is type-checked.
 func TestLoadImportCycleRejected(t *testing.T) {
 	dir := writeLoadModule(t)
 	cyclic := filepath.Join(dir, "leaf1", "cycle.go")
 	if err := os.WriteFile(cyclic, []byte("package leaf1\n\nimport \"loadtest/mid\"\n\nvar _ = mid.Three\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := Load(LoadConfig{Dir: dir, Parallel: 4}, "./...")
+	_, _, err := Load(LoadConfig{Dir: dir}, "./...")
 	if err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Fatalf("err = %v, want import cycle error", err)
 	}

@@ -35,7 +35,7 @@ var SnapshotCheck = &Analyzer{
 // anywhere in the module, mapped to one publication site. Built once per
 // run.
 func (m *Module) FrozenTypes() map[*types.Named]token.Pos {
-	m.frozenOnce.Do(func() {
+	if m.frozen == nil {
 		m.frozen = make(map[*types.Named]token.Pos)
 		for _, pkg := range m.Pkgs {
 			if pkg.Info == nil {
@@ -81,7 +81,7 @@ func (m *Module) FrozenTypes() map[*types.Named]token.Pos {
 				})
 			}
 		}
-	})
+	}
 	return m.frozen
 }
 

@@ -1,5 +1,7 @@
 // Package lockcheck seeds one violation per lockcheck rule; the golden
-// test diffs the analyzer's diagnostics against the want comments.
+// test diffs the analyzer's diagnostics against the want comments. This
+// file covers guarded fields and release; handoff.go covers the
+// interprocedural rules.
 package lockcheck
 
 import "sync"
@@ -38,7 +40,7 @@ func (s *Store) Bad(k string) (int, bool) {
 	s.mu.Lock()
 	v, ok := s.items[k]
 	if !ok {
-		return 0, false // want "return while s.mu may still be locked"
+		return 0, false // want "^return while s.mu is still locked .locked at line 40 without defer.$"
 	}
 	s.mu.Unlock()
 	return v, true
@@ -48,4 +50,52 @@ func (s *Store) Bad(k string) (int, bool) {
 func (s *Store) Leak() {
 	s.mu.Lock() // want "locked but never unlocked"
 	s.n++
+}
+
+// Early releases on its early-exit path only; the second return still holds
+// the lock on every path to it.
+func (s *Store) Early(k string) int {
+	s.mu.Lock()
+	if k == "" {
+		s.mu.Unlock()
+		return 0
+	}
+	v := s.items[k]
+	return v // want "return while s.mu is still locked .locked at line 58 without defer."
+}
+
+// Branches unlocks on both branches before returning: no finding.
+func (s *Store) Branches(k string) int {
+	s.mu.Lock()
+	if k == "" {
+		s.mu.Unlock()
+		return 0
+	}
+	v := s.items[k]
+	s.mu.Unlock()
+	return v
+}
+
+// Deferred releases through defer, so every return is covered: no finding.
+func (s *Store) Deferred(k string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if k == "" {
+		return 0
+	}
+	return s.items[k]
+}
+
+// Reacquire leaves s.mu held at the end of the loop body, but the range may
+// run zero times, so the lock is not held on every path out of the loop:
+// the Lock below is no self-deadlock and the return holds nothing.
+func (s *Store) Reacquire(keys []string) int {
+	for _, k := range keys {
+		s.mu.Lock()
+		s.items[k] = 0
+	}
+	s.mu.Lock()
+	n := s.n
+	s.mu.Unlock()
+	return n
 }

@@ -31,14 +31,12 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
-echo "== tier 2: scionlint ./... (baseline must be empty; timing shows loader speedup)"
-# Two runs against the checked-in (empty) baseline: sequential loader
-# first, concurrent loader second. The -timing lines on stderr prove the
-# concurrent package loader's wall-clock win in CI logs. -parallel 4 is
-# explicit (not 0 = GOMAXPROCS) so the concurrent scheduler runs even on
-# a single-CPU box, where overlapped parse I/O still wins.
-go run ./cmd/scionlint -timing -parallel 1 -baseline lint-baseline.json ./...
-go run ./cmd/scionlint -timing -parallel 4 -baseline lint-baseline.json ./...
+echo "== tier 2: scionlint ./... (must report no findings)"
+# One run; any finding fails the gate. The loader type-checks sequentially:
+# over ten alternating runs on 2 vCPUs a concurrent scheduler was no faster
+# (median 3.79 s at GOMAXPROCS workers vs 3.74 s sequential, IQR 0.21 s),
+# and analysis is 100-170 ms of that total.
+go run ./cmd/scionlint ./...
 
 echo "== tier 1: go test ./..."
 go test ./...
