@@ -65,6 +65,9 @@ func TestAnalyzersGolden(t *testing.T) {
 		suppressed int
 	}{
 		{"lockcheck", []*Analyzer{LockCheck}, 0},
+		// lockcheckv2 holds lockcheck's interprocedural rules: the
+		// ...Locked hand-off, self-deadlock and lock-order cycles.
+		{"lockcheckv2", []*Analyzer{LockCheck}, 0},
 		// ignorecheck pins the unknown-analyzer report (a typo, a retired
 		// name); the wildcard directive stays silent.
 		{"ignorecheck", []*Analyzer{IgnoreCheck}, 0},

@@ -1,7 +1,7 @@
 // Package lockcheck seeds one violation per lockcheck rule; the golden
 // test diffs the analyzer's diagnostics against the want comments. This
-// file covers guarded fields and release; handoff.go covers the
-// interprocedural rules.
+// package covers guarded fields and release; the lockcheckv2 fixture
+// covers the interprocedural rules.
 package lockcheck
 
 import "sync"

@@ -1,8 +1,7 @@
-package lockcheck
-
-// This file seeds one violation per interprocedural lock rule: the
-// ...Locked convention in both directions, the self-deadlock class, and an
-// acquisition-order cycle between two mutexes.
+// Package lockcheckv2 seeds one violation per interprocedural lock rule:
+// the ...Locked convention in both directions, the self-deadlock class,
+// and an acquisition-order cycle between two mutexes.
+package lockcheckv2
 
 import "sync"
 
@@ -67,14 +66,14 @@ type B struct{ mu sync.Mutex }
 
 func lockAB(a *A, b *B) {
 	a.mu.Lock()
-	b.mu.Lock() // want "lock order cycle: fixtures/lockcheck.B.mu acquired while fixtures/lockcheck.A.mu is held, but the reverse order also occurs"
+	b.mu.Lock() // want "lock order cycle: fixtures/lockcheckv2.B.mu acquired while fixtures/lockcheckv2.A.mu is held, but the reverse order also occurs"
 	b.mu.Unlock()
 	a.mu.Unlock()
 }
 
 func lockBA(a *A, b *B) {
 	b.mu.Lock()
-	a.mu.Lock() // want "lock order cycle: fixtures/lockcheck.A.mu acquired while fixtures/lockcheck.B.mu is held, but the reverse order also occurs"
+	a.mu.Lock() // want "lock order cycle: fixtures/lockcheckv2.A.mu acquired while fixtures/lockcheckv2.B.mu is held, but the reverse order also occurs"
 	a.mu.Unlock()
 	b.mu.Unlock()
 }
