@@ -16,8 +16,6 @@ import (
 
 	"github.com/upin/scionpath/internal/bwtest"
 	"github.com/upin/scionpath/internal/cliutil"
-	"github.com/upin/scionpath/internal/pathmgr"
-	"github.com/upin/scionpath/internal/sciond"
 )
 
 func main() { os.Exit(run(os.Args[1:])) }
@@ -46,22 +44,9 @@ func run(args []string) int {
 	if err != nil {
 		return cliutil.Fatalf(os.Stderr, "bwtest", "%v", err)
 	}
-	var path *pathmgr.Path
-	if *sequence != "" {
-		seq, err := pathmgr.ParseSequence(*sequence)
-		if err != nil {
-			return cliutil.Fatalf(os.Stderr, "bwtest", "%v", err)
-		}
-		path, err = w.Daemon.ResolveSequence(ia, seq)
-		if err != nil {
-			return cliutil.Fatalf(os.Stderr, "bwtest", "%v", err)
-		}
-	} else {
-		paths, err := w.Daemon.ShowPaths(ia, sciond.ShowPathsOpts{MaxPaths: 1})
-		if err != nil || len(paths) == 0 {
-			return cliutil.Fatalf(os.Stderr, "bwtest", "no path to %s: %v", ia, err)
-		}
-		path = paths[0]
+	path, err := w.ChoosePath(os.Stdout, ia, *sequence, false, 0)
+	if err != nil {
+		return cliutil.Fatalf(os.Stderr, "bwtest", "%v", err)
 	}
 
 	csParams, err := bwtest.ParseParams(*cs, path.MTU)

@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"github.com/upin/scionpath/internal/cliutil"
 	"github.com/upin/scionpath/internal/selection"
@@ -73,10 +72,10 @@ func run(args []string) int {
 		MaxLossPct:       *maxLoss,
 		MinBandwidthBps:  *minBw * 1e6,
 		MaxJitterMs:      *maxJitter,
-		ExcludeISDs:      splitList(*exISD),
-		ExcludeASes:      splitList(*exAS),
-		ExcludeCountries: splitList(*exCountry),
-		ExcludeOperators: splitList(*exOperator),
+		ExcludeISDs:      cliutil.SplitList(*exISD),
+		ExcludeASes:      cliutil.SplitList(*exAS),
+		ExcludeCountries: cliutil.SplitList(*exCountry),
+		ExcludeOperators: cliutil.SplitList(*exOperator),
 	}
 	engine := selection.New(w.DB, w.Topo)
 	if *setK > 0 {
@@ -107,18 +106,4 @@ func run(args []string) int {
 		fmt.Printf("   sequence: %s\n", c.Sequence)
 	}
 	return 0
-}
-
-func splitList(s string) []string {
-	if strings.TrimSpace(s) == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		if t := strings.TrimSpace(p); t != "" {
-			out = append(out, t)
-		}
-	}
-	return out
 }

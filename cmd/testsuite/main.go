@@ -60,20 +60,10 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "       testsuite --chaos-seed <seed> [--db /tmp/chaos.db]\n")
 		fs.PrintDefaults()
 	}
-	// Accept the positional <iterations> before or after flags.
-	var positional []string
-	var flagArgs []string
-	for _, a := range args {
-		if !strings.HasPrefix(a, "-") && len(positional) == 0 && len(flagArgs) == 0 {
-			positional = append(positional, a)
-			continue
-		}
-		flagArgs = append(flagArgs, a)
-	}
-	if err := fs.Parse(flagArgs); err != nil {
+	positional, err := cliutil.Parse(fs, args)
+	if err != nil {
 		return 2
 	}
-	positional = append(positional, fs.Args()...)
 	if *chaos != 0 {
 		if len(positional) != 0 {
 			fs.Usage()

@@ -118,3 +118,15 @@ func TestTestsuiteErrors(t *testing.T) {
 		}
 	}
 }
+
+func TestTestsuiteIterationsBetweenFlags(t *testing.T) {
+	out, code := capture(t, func() int {
+		return run([]string{"--no-bandwidth", "1", "--servers", "1", "-ping-count", "2", "-ping-interval", "2ms"})
+	})
+	if code != 0 {
+		t.Fatalf("flags around the iterations rejected: exit %d: %s", code, out)
+	}
+	if !strings.Contains(out, "1 iterations x 1 destinations") {
+		t.Errorf("output:\n%s", out)
+	}
+}

@@ -85,8 +85,8 @@ func run(args []string) int {
 	intent := upin.Intent{
 		ServerID: serverID,
 		Request: selection.Request{
-			ExcludeCountries: splitList(*exCountry),
-			ExcludeISDs:      splitList(*exISD),
+			ExcludeCountries: cliutil.SplitList(*exCountry),
+			ExcludeISDs:      cliutil.SplitList(*exISD),
 		},
 	}
 	explorer := upin.NewDomainExplorer(w.Topo, parseISDs(*domain))
@@ -94,9 +94,11 @@ func run(args []string) int {
 
 	// 1. Controller: decide.
 	ctrl := upin.NewController(w.Daemon, engine, explorer)
+	// The controller's and the tracer's errors carry the "upin:" prefix.
 	dec, err := ctrl.Decide(context.Background(), ia, intent)
 	if err != nil {
-		return cliutil.Fatalf(os.Stderr, "upin", "%v", err)
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
 	fmt.Printf("\ncontroller decision: %s\n", selection.Explain(dec.Candidate))
 	fmt.Printf("  installed sequence: %s\n", dec.Path.Sequence())
@@ -104,7 +106,8 @@ func run(args []string) int {
 	// 2. Tracer: observe.
 	trace, err := upin.NewTracer(w.Net).Trace(dec, 3)
 	if err != nil {
-		return cliutil.Fatalf(os.Stderr, "upin", "%v", err)
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
 	fmt.Printf("\ntraced %d hops\n", len(trace.Hops))
 
@@ -153,19 +156,6 @@ func parseISDs(s string) []addr.ISD {
 	for _, part := range strings.Split(s, ",") {
 		if v, err := strconv.Atoi(strings.TrimSpace(part)); err == nil && v > 0 {
 			out = append(out, addr.ISD(v))
-		}
-	}
-	return out
-}
-
-func splitList(s string) []string {
-	if strings.TrimSpace(s) == "" {
-		return nil
-	}
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if t := strings.TrimSpace(p); t != "" {
-			out = append(out, t)
 		}
 	}
 	return out

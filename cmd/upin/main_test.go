@@ -66,3 +66,26 @@ func TestUpinErrors(t *testing.T) {
 		}
 	}
 }
+
+func TestUpinUnsatisfiableRequestError(t *testing.T) {
+	old := os.Stderr
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stderr = w
+	_, code := capture(t, func() int {
+		return run([]string{"-d", "1", "-exclude-country", "Switzerland"})
+	})
+	w.Close()
+	os.Stderr = old
+	stderr, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// internal/upin prefixes its errors already; the tool adds no second prefix.
+	const want = "upin: controller: selection: no path to server 1 satisfies the request\n"
+	if code != 1 || string(stderr) != want {
+		t.Errorf("exit %d, stderr %q; want exit 1, stderr %q", code, stderr, want)
+	}
+}

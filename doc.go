@@ -5,9 +5,11 @@
 // with its MongoDB-style document database, and the user-driven path
 // selection layer on top.
 //
-// The public surface lives in the cmd/ tools and examples/; the library is
-// organised under internal/ (topology, segment, pathmgr, simnet, scmp,
-// bwtest, sciond, docdb, measure, selection, stats, plot, experiments).
+// The public surface lives in the cmd/ tools — cmd/scion is the paper's
+// "scion address | showpaths | ping | traceroute", cmd/bwtest its
+// bwtester — and in examples/; the library is organised under internal/
+// (topology, segment, pathmgr, simnet, scmp, bwtest, sciond, docdb,
+// measure, selection, stats, plot, experiments).
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-versus-measured record of every figure.
 package scionpath

@@ -12,7 +12,9 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"github.com/upin/scionpath/internal/addr"
@@ -23,11 +25,17 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(out io.Writer) error {
 	topo := topology.DefaultWorld()
 
-	fmt.Println("available attachment points:")
+	fmt.Fprintln(out, "available attachment points:")
 	for _, ap := range topo.AttachmentPoints() {
-		fmt.Printf("  %-16s %-16s %s, %s\n", ap.IA, ap.Name, ap.Site.Name, ap.Site.Country)
+		fmt.Fprintf(out, "  %-16s %-16s %s, %s\n", ap.IA, ap.Name, ap.Site.Name, ap.Site.Country)
 	}
 
 	// Define and attach the new AS (the web-interface step of §3.2).
@@ -38,21 +46,21 @@ func main() {
 		AP:   topology.MagdeburgAP,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nattached %s behind %s (access %.0f Mbps down / %.0f Mbps up)\n",
+	fmt.Fprintf(out, "\nattached %s behind %s (access %.0f Mbps down / %.0f Mbps up)\n",
 		peer, topology.MagdeburgAP, link.CapacityAtoB/1e6, link.CapacityBtoA/1e6)
 
 	// The generated configuration: export and reload the topology.
 	var buf bytes.Buffer
 	if err := topo.WriteJSON(&buf); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	reloaded, err := topology.ReadJSON(&buf)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("topology exported to JSON (%d bytes) and reloaded: %d ASes\n",
+	fmt.Fprintf(out, "topology exported to JSON (%d bytes) and reloaded: %d ASes\n",
 		buf.Len(), len(reloaded.ASes()))
 
 	// Paths to the new AS appear without any further setup: beaconing
@@ -60,17 +68,18 @@ func main() {
 	net := simnet.New(reloaded, simnet.Options{Seed: 4})
 	daemon, err := sciond.New(reloaded, net, topology.MyAS)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	paths, err := daemon.ShowPaths(peer, sciond.ShowPathsOpts{MaxPaths: 10, Extended: true, Probe: true})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\npaths from MY_AS to the new AS:\n%s\n", sciond.FormatPaths(paths, true))
+	fmt.Fprintf(out, "\npaths from MY_AS to the new AS:\n%s\n", sciond.FormatPaths(paths, true))
 
 	stats, err := scmp.Ping(net, paths[0], scmp.PingOpts{Count: 10, Interval: 20 * time.Millisecond})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("ping over the best path: %s\n", stats)
+	fmt.Fprintf(out, "ping over the best path: %s\n", stats)
+	return nil
 }

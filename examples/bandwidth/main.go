@@ -13,7 +13,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"github.com/upin/scionpath/internal/bwtest"
 	"github.com/upin/scionpath/internal/sciond"
@@ -22,26 +24,32 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(out io.Writer) error {
 	topo := topology.DefaultWorld()
 	net := simnet.New(topo, simnet.Options{Seed: 3})
 	daemon, err := sciond.New(topo, net, topology.MyAS)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	paths, err := daemon.ShowPaths(topology.MagdeburgAP, sciond.ShowPathsOpts{MaxPaths: 1})
 	if err != nil || len(paths) == 0 {
-		log.Fatalf("no path to Magdeburg: %v", err)
+		return fmt.Errorf("no path to Magdeburg: %v", err)
 	}
 	path := paths[0]
-	fmt.Printf("testing path: %s (MTU %d)\n\n", path.Sequence(), path.MTU)
+	fmt.Fprintf(out, "testing path: %s (MTU %d)\n\n", path.Sequence(), path.MTU)
 
-	fmt.Printf("%-10s %-6s %12s %12s\n", "target", "size", "up (Mbps)", "down (Mbps)")
+	fmt.Fprintf(out, "%-10s %-6s %12s %12s\n", "target", "size", "up (Mbps)", "down (Mbps)")
 	for _, target := range []string{"12Mbps", "150Mbps"} {
 		for _, size := range []string{"64", "MTU"} {
 			spec := fmt.Sprintf("3,%s,?,%s", size, target)
 			params, err := bwtest.ParseParams(spec, path.MTU)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			// Average a few runs to smooth cross-traffic noise.
 			var up, down float64
@@ -49,15 +57,16 @@ func main() {
 			for i := 0; i < k; i++ {
 				res, err := bwtest.Run(net, path, params, bwtest.Params{})
 				if err != nil {
-					log.Fatal(err)
+					return err
 				}
 				up += res.CS.AchievedBps
 				down += res.SC.AchievedBps
 			}
-			fmt.Printf("%-10s %-6s %12.2f %12.2f\n", target, size, up/k/1e6, down/k/1e6)
+			fmt.Fprintf(out, "%-10s %-6s %12.2f %12.2f\n", target, size, up/k/1e6, down/k/1e6)
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
-	fmt.Println("expected shape (paper Fig 7/8): at 12Mbps MTU > 64B; at 150Mbps 64B > MTU;")
-	fmt.Println("upstream below downstream throughout (asymmetric access links).")
+	fmt.Fprintln(out, "expected shape (paper Fig 7/8): at 12Mbps MTU > 64B; at 150Mbps 64B > MTU;")
+	fmt.Fprintln(out, "upstream below downstream throughout (asymmetric access links).")
+	return nil
 }

@@ -1,0 +1,16 @@
+package main
+
+import (
+	"bytes"
+	"testing"
+
+	"github.com/upin/scionpath/examples/internal/golden"
+)
+
+func TestBandwidth(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(&out); err != nil {
+		t.Fatal(err)
+	}
+	golden.Check(t, "testdata/bandwidth.golden", out.Bytes())
+}

@@ -12,7 +12,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"github.com/upin/scionpath/internal/addr"
@@ -27,15 +29,21 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(out io.Writer) error {
 	topo := topology.DefaultWorld()
 	net := simnet.New(topo, simnet.Options{Seed: 21})
 	daemon, err := sciond.New(topo, net, topology.MyAS)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	db := docdb.MustOpen()
 	if err := measure.SeedServers(db, topo); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	suite := &measure.Suite{DB: db, Daemon: daemon}
 
@@ -46,12 +54,12 @@ func main() {
 			irelandID = s.ID
 		}
 	}
-	fmt.Println("measuring paths to AWS Ireland...")
+	fmt.Fprintln(out, "measuring paths to AWS Ireland...")
 	if _, err := suite.Run(context.Background(), measure.RunOpts{
 		Iterations: 3, ServerIDs: []int{irelandID},
 		PingCount: 8, PingInterval: 10 * time.Millisecond, SkipBandwidth: true,
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	engine := selection.New(db, topo)
@@ -70,23 +78,23 @@ func main() {
 	// Peek at the initial decision so the outage can target it.
 	dec, err := w.Controller.Decide(context.Background(), topology.AWSIreland, intent)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\ninstalled: %s\n", selection.Explain(dec.Candidate))
+	fmt.Fprintf(out, "\ninstalled: %s\n", selection.Explain(dec.Candidate))
 
 	// Disaster strikes 5 simulated seconds in: the path's second link dies.
 	if err := net.ScheduleLinkOutage(simnet.LinkOutage{
 		A: dec.Path.Hops[1].IA, B: dec.Path.Hops[2].IA,
 		Start: net.Now() + 5*time.Second, End: net.Now() + 24*time.Hour,
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("scheduled outage on %s--%s in 5s of simulated time\n\n",
+	fmt.Fprintf(out, "scheduled outage on %s--%s in 5s of simulated time\n\n",
 		dec.Path.Hops[1].IA, dec.Path.Hops[2].IA)
 
 	events, final, err := w.Watch(context.Background(), topology.AWSIreland, intent, 5, 3*time.Second)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, ev := range events {
 		status := "healthy"
@@ -96,7 +104,8 @@ func main() {
 		if ev.Reason != "" {
 			status += " — " + ev.Reason
 		}
-		fmt.Printf("round %d on %-5s: %s\n", ev.Round, ev.PathID, status)
+		fmt.Fprintf(out, "round %d on %-5s: %s\n", ev.Round, ev.PathID, status)
 	}
-	fmt.Printf("\nfinal path: %s\n", selection.Explain(final.Candidate))
+	fmt.Fprintf(out, "\nfinal path: %s\n", selection.Explain(final.Candidate))
+	return nil
 }

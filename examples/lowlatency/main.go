@@ -16,7 +16,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strings"
 	"time"
 
@@ -29,15 +31,21 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(out io.Writer) error {
 	topo := topology.DefaultWorld()
 	net := simnet.New(topo, simnet.Options{Seed: 7})
 	daemon, err := sciond.New(topo, net, topology.MyAS)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	db := docdb.MustOpen()
 	if err := measure.SeedServers(db, topo); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	suite := &measure.Suite{DB: db, Daemon: daemon}
 
@@ -49,7 +57,7 @@ func main() {
 		}
 	}
 
-	fmt.Println("measuring all paths to AWS Ireland (5 iterations, latency only)...")
+	fmt.Fprintln(out, "measuring all paths to AWS Ireland (5 iterations, latency only)...")
 	if _, err := suite.Run(context.Background(), measure.RunOpts{
 		Iterations:    5,
 		ServerIDs:     []int{irelandID},
@@ -57,47 +65,48 @@ func main() {
 		PingInterval:  10 * time.Millisecond,
 		SkipBandwidth: true,
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	engine := selection.New(db, topo)
 
-	fmt.Println("\n1) video call — most stable path (latency consistency first):")
+	fmt.Fprintln(out, "\n1) video call — most stable path (latency consistency first):")
 	stable, err := engine.Best(context.Background(), irelandID, selection.Request{Objective: selection.MostStable})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("  ", selection.Explain(stable))
+	fmt.Fprintln(out, "  ", selection.Explain(stable))
 
-	fmt.Println("\n2) online gaming — hard 50 ms budget, lowest latency wins:")
+	fmt.Fprintln(out, "\n2) online gaming — hard 50 ms budget, lowest latency wins:")
 	gaming, err := engine.Best(context.Background(), irelandID, selection.Request{
 		Objective:    selection.LowestLatency,
 		MaxLatencyMs: 50,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("  ", selection.Explain(gaming))
+	fmt.Fprintln(out, "  ", selection.Explain(gaming))
 
-	fmt.Println("\n3) the same request with the jittery long-distance ASes excluded explicitly:")
+	fmt.Fprintln(out, "\n3) the same request with the jittery long-distance ASes excluded explicitly:")
 	expl, err := engine.Select(context.Background(), irelandID, selection.Request{
 		Objective:   selection.LowestLatency,
 		ExcludeASes: []string{"16-ffaa:0:1004", "16-ffaa:0:1007"},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for i, c := range expl {
 		if i == 3 {
 			break
 		}
-		fmt.Printf("   %d. %s\n", i+1, selection.Explain(c))
+		fmt.Fprintf(out, "   %d. %s\n", i+1, selection.Explain(c))
 	}
 
-	fmt.Println("\nfull ranking by jitter (mdev), showing why 1004/1007 paths lose:")
+	fmt.Fprintln(out, "\nfull ranking by jitter (mdev), showing why 1004/1007 paths lose:")
 	byJitter, _ := engine.Select(context.Background(), irelandID, selection.Request{Objective: selection.MostStable})
 	for _, c := range byJitter {
-		fmt.Printf("   %-6s jitter %6.2f ms  latency %7.1f ms  ISDs {%s}\n",
+		fmt.Fprintf(out, "   %-6s jitter %6.2f ms  latency %7.1f ms  ISDs {%s}\n",
 			c.PathID, c.JitterMs, c.AvgLatencyMs, strings.Join(c.ISDs, ","))
 	}
+	return nil
 }

@@ -11,7 +11,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"github.com/upin/scionpath/internal/docdb"
@@ -23,21 +25,27 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(out io.Writer) error {
 	// 1. The world: 35 SCIONLab ASes plus our own AS behind ETHZ-AP.
 	topo := topology.DefaultWorld()
 	net := simnet.New(topo, simnet.Options{Seed: 42})
 	daemon, err := sciond.New(topo, net, topology.MyAS)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("local address: %s\n", daemon.Address())
-	fmt.Printf("world: %d ASes in ISDs %v, %d testable servers\n\n",
+	fmt.Fprintf(out, "local address: %s\n", daemon.Address())
+	fmt.Fprintf(out, "world: %d ASes in ISDs %v, %d testable servers\n\n",
 		len(topo.ASes()), topo.ISDs(), len(topo.Servers()))
 
 	// 2. The database and the availableServers catalogue.
 	db := docdb.MustOpen()
 	if err := measure.SeedServers(db, topo); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// 3. Paths collection: showpaths --extended -m 40 to each server,
@@ -45,15 +53,15 @@ func main() {
 	suite := &measure.Suite{DB: db, Daemon: daemon}
 	colRep, err := measure.CollectPaths(context.Background(), db, daemon, measure.CollectOpts{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("collected %d paths (of %d discovered) across %d destinations\n",
+	fmt.Fprintf(out, "collected %d paths (of %d discovered) across %d destinations\n",
 		colRep.PathsRetained, colRep.PathsDiscovered, colRep.ServersQueried)
 
 	// 4. Measure the Ireland destination: ping + bwtest per path.
 	servers, err := measure.Servers(db)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	irelandID := 0
 	for _, s := range servers {
@@ -70,18 +78,19 @@ func main() {
 		BwDuration:   time.Second,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("measured %d paths, stored %d stats documents (simulated time %v)\n\n",
+	fmt.Fprintf(out, "measured %d paths, stored %d stats documents (simulated time %v)\n\n",
 		runRep.PathsTested, runRep.StatsStored, net.Now().Round(time.Second))
 
 	// 5. User-driven path control: ask for the best low-latency path.
 	engine := selection.New(db, topo)
 	best, err := engine.Best(context.Background(), irelandID, selection.Request{Objective: selection.LowestLatency})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("best low-latency path to AWS Ireland:")
-	fmt.Println(" ", selection.Explain(best))
-	fmt.Println("  sequence:", best.Sequence)
+	fmt.Fprintln(out, "best low-latency path to AWS Ireland:")
+	fmt.Fprintln(out, " ", selection.Explain(best))
+	fmt.Fprintln(out, "  sequence:", best.Sequence)
+	return nil
 }

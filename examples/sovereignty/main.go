@@ -15,7 +15,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"github.com/upin/scionpath/internal/docdb"
@@ -27,15 +29,21 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(out io.Writer) error {
 	topo := topology.DefaultWorld()
 	net := simnet.New(topo, simnet.Options{Seed: 11})
 	daemon, err := sciond.New(topo, net, topology.MyAS)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	db := docdb.MustOpen()
 	if err := measure.SeedServers(db, topo); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	suite := &measure.Suite{DB: db, Daemon: daemon}
 
@@ -53,43 +61,47 @@ func main() {
 		PingInterval:  10 * time.Millisecond,
 		SkipBandwidth: true,
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	engine := selection.New(db, topo)
-	show := func(title string, req selection.Request) {
-		cands, err := engine.Select(context.Background(), irelandID, req)
+	for _, q := range []struct {
+		title string
+		req   selection.Request
+	}{
+		{"no constraints", selection.Request{}},
+		{"exclude country: United States", selection.Request{
+			ExcludeCountries: []string{"United States"},
+		}},
+		{"exclude country: United States + Singapore", selection.Request{
+			ExcludeCountries: []string{"United States", "Singapore"},
+		}},
+		{"exclude ISD 19 (stay out of the EU research plane)", selection.Request{
+			ExcludeISDs: []string{"19"},
+		}},
+		{"exclude operator: GEANT", selection.Request{
+			ExcludeOperators: []string{"GEANT"},
+		}},
+	} {
+		cands, err := engine.Select(context.Background(), irelandID, q.req)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%s -> %d candidate paths\n", title, len(cands))
+		fmt.Fprintf(out, "%s -> %d candidate paths\n", q.title, len(cands))
 		for i, c := range cands {
 			if i == 2 {
-				fmt.Println("    ...")
+				fmt.Fprintln(out, "    ...")
 				break
 			}
-			fmt.Printf("    %d. %s\n", i+1, selection.Explain(c))
+			fmt.Fprintf(out, "    %d. %s\n", i+1, selection.Explain(c))
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
-
-	show("no constraints", selection.Request{})
-	show("exclude country: United States", selection.Request{
-		ExcludeCountries: []string{"United States"},
-	})
-	show("exclude country: United States + Singapore", selection.Request{
-		ExcludeCountries: []string{"United States", "Singapore"},
-	})
-	show("exclude ISD 19 (stay out of the EU research plane)", selection.Request{
-		ExcludeISDs: []string{"19"},
-	})
-	show("exclude operator: GEANT", selection.Request{
-		ExcludeOperators: []string{"GEANT"},
-	})
 
 	// An impossible request: the destination itself is in Ireland.
 	_, err = engine.Best(context.Background(), irelandID, selection.Request{
 		ExcludeCountries: []string{"Ireland"},
 	})
-	fmt.Printf("exclude country: Ireland -> %v (the destination lives there)\n", err)
+	fmt.Fprintf(out, "exclude country: Ireland -> %v (the destination lives there)\n", err)
+	return nil
 }

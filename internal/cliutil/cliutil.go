@@ -1,16 +1,18 @@
 // Package cliutil wires the command-line tools to a simulated SCIONLab
-// world: flag helpers, environment construction and output helpers shared
-// by cmd/testsuite, cmd/showpaths, cmd/scionping, cmd/traceroute,
-// cmd/bwtest, cmd/pathselect and cmd/report.
+// world: the argument parsing, environment construction, destination and
+// path choice, and error style that the tools under cmd/ share.
 package cliutil
 
 import (
+	"flag"
 	"fmt"
 	"io"
+	"strings"
 
 	"github.com/upin/scionpath/internal/addr"
 	"github.com/upin/scionpath/internal/docdb"
 	"github.com/upin/scionpath/internal/measure"
+	"github.com/upin/scionpath/internal/pathmgr"
 	"github.com/upin/scionpath/internal/sciond"
 	"github.com/upin/scionpath/internal/simnet"
 	"github.com/upin/scionpath/internal/topology"
@@ -96,6 +98,67 @@ func (w *World) ResolveDestination(s string) (addr.IA, int, error) {
 		return addr.IA{}, 0, fmt.Errorf("destination AS %s not in the topology", ia)
 	}
 	return ia, 0, nil
+}
+
+// ChoosePath picks the path to dst the way the path-using tools do: the
+// path a hop-predicate sequence pins; with interactive, entry index of the
+// extended listing, which it prints to out; otherwise the first path.
+func (w *World) ChoosePath(out io.Writer, dst addr.IA, sequence string, interactive bool, index int) (*pathmgr.Path, error) {
+	switch {
+	case sequence != "":
+		seq, err := pathmgr.ParseSequence(sequence)
+		if err != nil {
+			return nil, err
+		}
+		return w.Daemon.ResolveSequence(dst, seq)
+	case interactive:
+		paths, err := w.Daemon.ShowPaths(dst, sciond.ShowPathsOpts{MaxPaths: 40, Probe: true})
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprint(out, sciond.FormatPaths(paths, true))
+		if index < 0 || index >= len(paths) {
+			return nil, fmt.Errorf("path index %d out of range [0,%d)", index, len(paths))
+		}
+		fmt.Fprintf(out, "Using path %d: %s\n", index, paths[index])
+		return paths[index], nil
+	}
+	paths, err := w.Daemon.ShowPaths(dst, sciond.ShowPathsOpts{MaxPaths: 1})
+	if err != nil || len(paths) == 0 {
+		return nil, fmt.Errorf("no path to %s: %v", dst, err)
+	}
+	return paths[0], nil
+}
+
+// Parse parses args into fs like fs.Parse, except that flags may come
+// before, between and after the positional arguments, which it returns in
+// order. Everything after a "--" argument is positional; a string flag
+// whose value is "--" must be written -name=--.
+func Parse(fs *flag.FlagSet, args []string) ([]string, error) {
+	var positional []string
+	for {
+		if err := fs.Parse(args); err != nil {
+			return nil, err
+		}
+		// fs.Parse stops at the first positional, or just after "--".
+		rest := fs.Args()
+		if stop := len(args) - len(rest); len(rest) == 0 || stop > 0 && args[stop-1] == "--" {
+			return append(positional, rest...), nil
+		}
+		positional = append(positional, rest[0])
+		args = rest[1:]
+	}
+}
+
+// SplitList returns the trimmed, non-empty items of a comma-separated list.
+func SplitList(s string) []string {
+	var items []string
+	for _, item := range strings.Split(s, ",") {
+		if item = strings.TrimSpace(item); item != "" {
+			items = append(items, item)
+		}
+	}
+	return items
 }
 
 // Fatalf prints an error in tool style and returns exit code 1.
