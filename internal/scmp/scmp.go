@@ -76,7 +76,6 @@ func Ping(net *simnet.Network, p *pathmgr.Path, opts PingOpts) (PingStats, error
 
 	stats := PingStats{Sent: opts.Count}
 	for i := 0; i < opts.Count; i++ {
-		i := i
 		net.Schedule(time.Duration(i)*opts.Interval, func() {
 			res := net.Probe(p, opts.PayloadSize, 0)
 			if res.Dropped || res.RTT > opts.Timeout {

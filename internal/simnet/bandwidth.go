@@ -62,9 +62,10 @@ func (n *Network) BandwidthTest(p *pathmgr.Path, spec FlowSpec) (FlowResult, err
 	n.mu.Lock()
 	defer n.mu.Unlock()
 
-	hops := p.Hops
+	r := n.routeLocked(p.Hops)
+	hops := r.fwd
 	if spec.Reverse {
-		hops = reverseHops(p.Hops)
+		hops = r.rev
 	}
 
 	// Sender-side packet rate cap.
@@ -87,23 +88,23 @@ func (n *Network) BandwidthTest(p *pathmgr.Path, spec FlowSpec) (FlowResult, err
 		now := start + time.Duration(s)*fluidStep
 		pps := sentPPS
 		for i := 0; i+1 < len(hops); i++ {
+			h := &hops[i]
 			// Congestion episodes at the forwarding AS kill the step's
 			// traffic with the episode's probability (fluid equivalent).
 			for _, ep := range n.episodes {
-				if ep.IA == hops[i].IA && ep.Active(now) {
+				if ep.IA == h.ia && ep.Active(now) {
 					pps *= 1 - ep.DropProb
 				}
 			}
-			l, fwd, capacity, err := n.linkDir(hops[i].IA, hops[i+1].IA)
-			if err != nil {
-				return FlowResult{}, err
+			if h.link == nil {
+				return FlowResult{}, h.linkErr()
 			}
-			if n.linkDownLocked(hops[i].IA, hops[i+1].IA, now) {
+			if n.linkDownLocked(h.ia, h.next, now) {
 				pps = 0
 				continue
 			}
-			u := n.utilizationLocked(l, fwd, now)
-			usable := capacity * (1 - u)
+			u := n.utilLocked(h, now)
+			usable := h.capacity * (1 - u)
 			offeredWire := pps * wirePerPkt
 			if offeredWire > usable {
 				// Sustained UDP overload thrashes the tail-drop queue;
@@ -117,13 +118,13 @@ func (n *Network) BandwidthTest(p *pathmgr.Path, spec FlowSpec) (FlowResult, err
 				}
 				pps = acceptedWire / wirePerPkt
 			}
-			if l.BaseLoss > 0 {
-				pps *= 1 - l.BaseLoss
+			if h.link.BaseLoss > 0 {
+				pps *= 1 - h.link.BaseLoss
 			}
 		}
 		// Episode at the destination AS.
 		for _, ep := range n.episodes {
-			if ep.IA == hops[len(hops)-1].IA && ep.Active(now) {
+			if ep.IA == hops[len(hops)-1].ia && ep.Active(now) {
 				pps *= 1 - ep.DropProb
 			}
 		}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/upin/scionpath/internal/addr"
-	"github.com/upin/scionpath/internal/pathmgr"
 	"github.com/upin/scionpath/internal/topology"
 )
 
@@ -101,6 +100,9 @@ type Network struct {
 	episodes []Episode
 	outages  []LinkOutage
 	util     map[dirKey]*utilState
+	// route is the last hop list resolved (see routeLocked). Fork does not
+	// copy it: its steps point into this network's util map.
+	route *route
 }
 
 // New creates a simulator over the topology.
@@ -188,18 +190,28 @@ func (n *Network) episodeDropLocked(ia addr.IA, t time.Duration) bool {
 	return false
 }
 
-// utilizationLocked returns the cross-traffic utilisation of a link
-// direction at time t, evolving the mean-reverting walk since the last
-// sample. Callers hold n.mu (the walk state and rng are guarded).
-func (n *Network) utilizationLocked(l *topology.Link, fwd bool, t time.Duration) float64 {
-	k := dirKey{link: l, fwd: fwd}
-	s := n.util[k]
-	if s == nil {
-		s = &utilState{u: n.opts.UtilMean + n.opts.UtilSigma*n.rng.NormFloat64(), last: t}
-		s.u = clampUtil(s.u)
-		n.util[k] = s
-		return s.u
+// utilLocked returns the cross-traffic utilisation of the step's link
+// direction at time t. The first traversal of a step finds (or creates,
+// drawing its initial value) the direction's state in n.util and keeps a
+// pointer to it; later traversals only evolve it. Callers hold n.mu (the
+// walk state and rng are guarded).
+func (n *Network) utilLocked(h *routeHop, t time.Duration) float64 {
+	if h.util == nil {
+		k := dirKey{link: h.link, fwd: h.fwd}
+		s := n.util[k]
+		if s == nil {
+			s = &utilState{u: clampUtil(n.opts.UtilMean + n.opts.UtilSigma*n.rng.NormFloat64()), last: t}
+			n.util[k] = s
+		}
+		h.util = s
 	}
+	n.evolveLocked(h.util, t)
+	return h.util.u
+}
+
+// evolveLocked advances the mean-reverting walk of s to time t. Callers
+// hold n.mu.
+func (n *Network) evolveLocked(s *utilState, t time.Duration) {
 	dt := (t - s.last).Seconds()
 	if dt > 0 {
 		// Mean reversion with horizon ~30s plus diffusion.
@@ -209,7 +221,6 @@ func (n *Network) utilizationLocked(l *topology.Link, fwd bool, t time.Duration)
 		s.u = clampUtil(s.u)
 		s.last = t
 	}
-	return s.u
 }
 
 func clampUtil(u float64) float64 {
@@ -222,52 +233,35 @@ func clampUtil(u float64) float64 {
 	return u
 }
 
-// linkDir returns the traversal attributes of the path step from hop a to
-// hop b: the link, whether it is the A->B direction, and its capacity.
-func (n *Network) linkDir(a, b addr.IA) (*topology.Link, bool, float64, error) {
-	l := n.topo.LinkBetween(a, b)
-	if l == nil {
-		return nil, false, 0, fmt.Errorf("simnet: no link %s--%s", a, b)
-	}
-	if l.A == a {
-		return l, true, l.CapacityAtoB, nil
-	}
-	return l, false, l.CapacityBtoA, nil
-}
-
-// traverseResult is the outcome of sending one packet along a hop list.
+// traverseResult is the outcome of sending one packet along a route.
 type traverseResult struct {
 	delay   time.Duration
 	dropped bool
 	dropHop int // index of the AS where the packet died (when dropped)
 }
 
-// traverseLocked sends one packet of wireBytes along the hops starting at
-// time t. hops must be in travel direction (the reverse direction of a path
-// is its reversed hop list). Callers hold n.mu.
-func (n *Network) traverseLocked(hops []pathmgr.Hop, wireBytes int, t time.Duration) traverseResult {
+// traverseLocked sends one packet of wireBytes along the route steps
+// starting at time t. Callers hold n.mu.
+func (n *Network) traverseLocked(steps []routeHop, wireBytes int, t time.Duration) traverseResult {
 	var delay time.Duration
-	for i, h := range hops {
-		as := n.topo.AS(h.IA)
-		if as == nil {
+	for i := range steps {
+		h := &steps[i]
+		if h.as == nil {
 			return traverseResult{dropped: true, dropHop: i}
 		}
 		now := t + delay
-		if n.episodeDropLocked(h.IA, now) {
+		if n.episodeDropLocked(h.ia, now) {
 			return traverseResult{delay: delay, dropped: true, dropHop: i}
 		}
-		delay += as.Processing
-		if as.JitterScale > 0 && !n.opts.DisableJitter {
-			delay += time.Duration(n.rng.ExpFloat64() * float64(as.JitterScale))
+		delay += h.as.Processing
+		if h.as.JitterScale > 0 && !n.opts.DisableJitter {
+			delay += time.Duration(n.rng.ExpFloat64() * float64(h.as.JitterScale))
 		}
-		if i+1 >= len(hops) {
+		if i+1 >= len(steps) {
 			break
 		}
-		l, fwd, capacity, err := n.linkDir(h.IA, hops[i+1].IA)
-		if err != nil {
-			return traverseResult{delay: delay, dropped: true, dropHop: i}
-		}
-		if n.linkDownLocked(h.IA, hops[i+1].IA, now) {
+		l := h.link
+		if l == nil || n.linkDownLocked(h.ia, h.next, now) {
 			return traverseResult{delay: delay, dropped: true, dropHop: i}
 		}
 		// Oversized packets are dropped at the first link they do not fit
@@ -278,23 +272,14 @@ func (n *Network) traverseLocked(hops []pathmgr.Hop, wireBytes int, t time.Durat
 		if l.BaseLoss > 0 && n.rng.Float64() < l.BaseLoss {
 			return traverseResult{delay: delay, dropped: true, dropHop: i}
 		}
-		u := n.utilizationLocked(l, fwd, now)
+		u := n.utilLocked(h, now)
 		// Serialization of this packet plus expected queueing behind
 		// cross-traffic occupancy.
-		ser := time.Duration(float64(wireBytes*8) / capacity * float64(time.Second))
-		queued := time.Duration(u * float64(l.QueueBytes) * 8 / capacity * float64(time.Second))
+		ser := time.Duration(float64(wireBytes*8) / h.capacity * float64(time.Second))
+		queued := time.Duration(u * float64(l.QueueBytes) * 8 / h.capacity * float64(time.Second))
 		// Queueing varies packet to packet; scale by a uniform draw.
 		delay += ser + time.Duration(n.rng.Float64()*float64(queued))
-		delay += n.topo.Delay(l)
+		delay += h.delay
 	}
 	return traverseResult{delay: delay}
-}
-
-// reverseHops returns the hop list for the return direction.
-func reverseHops(hops []pathmgr.Hop) []pathmgr.Hop {
-	out := make([]pathmgr.Hop, len(hops))
-	for i, h := range hops {
-		out[len(hops)-1-i] = pathmgr.Hop{IA: h.IA, In: h.Out, Out: h.In}
-	}
-	return out
 }

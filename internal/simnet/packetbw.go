@@ -31,9 +31,10 @@ func (n *Network) BandwidthTestPacketLevel(p *pathmgr.Path, spec FlowSpec) (Flow
 	n.mu.Lock()
 	defer n.mu.Unlock()
 
-	hops := p.Hops
+	r := n.routeLocked(p.Hops)
+	steps := r.fwd
 	if spec.Reverse {
-		hops = reverseHops(p.Hops)
+		steps = r.rev
 	}
 
 	offeredPPS := spec.TargetBps / float64(spec.PacketBytes*8)
@@ -57,19 +58,19 @@ func (n *Network) BandwidthTestPacketLevel(p *pathmgr.Path, spec FlowSpec) (Flow
 		usable    float64 // bps available to this flow
 		limit     float64 // queue byte limit
 	}
-	states := make([]*linkState, len(hops)-1)
+	states := make([]*linkState, len(steps)-1)
 	start := n.engine.Now()
-	for i := 0; i+1 < len(hops); i++ {
-		l, fwd, capacity, err := n.linkDir(hops[i].IA, hops[i+1].IA)
-		if err != nil {
-			return FlowResult{}, err
+	for i := 0; i+1 < len(steps); i++ {
+		h := &steps[i]
+		if h.link == nil {
+			return FlowResult{}, h.linkErr()
 		}
-		u := n.utilizationLocked(l, fwd, start)
+		u := n.utilLocked(h, start)
 		states[i] = &linkState{
-			occupancy: u * float64(l.QueueBytes),
+			occupancy: u * float64(h.link.QueueBytes),
 			last:      start,
-			usable:    capacity * (1 - u),
-			limit:     float64(l.QueueBytes),
+			usable:    h.capacity * (1 - u),
+			limit:     float64(h.link.QueueBytes),
 		}
 	}
 
@@ -77,14 +78,14 @@ func (n *Network) BandwidthTestPacketLevel(p *pathmgr.Path, spec FlowSpec) (Flow
 	for k := 0; k < total; k++ {
 		now := start + time.Duration(k)*interval
 		delivered := true
-		for i := 0; i+1 < len(hops); i++ {
-			if n.linkDownLocked(hops[i].IA, hops[i+1].IA, now) {
+		for i := 0; i+1 < len(steps); i++ {
+			if n.linkDownLocked(steps[i].ia, steps[i].next, now) {
 				delivered = false
 				break
 			}
 			dropped := false
 			for _, ep := range n.episodes {
-				if ep.IA == hops[i].IA && ep.Active(now) {
+				if ep.IA == steps[i].ia && ep.Active(now) {
 					if ep.DropProb >= 1 || n.rng.Float64() < ep.DropProb {
 						dropped = true
 					}

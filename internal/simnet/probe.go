@@ -22,32 +22,37 @@ type ProbeResult struct {
 func (n *Network) Probe(p *pathmgr.Path, payloadBytes int, offset time.Duration) ProbeResult {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.probeLocked(p.Hops, payloadBytes, offset)
+	r := n.routeLocked(p.Hops)
+	return n.probeLocked(r.fwd, r.rev, payloadBytes, offset)
 }
 
 // ProbePartial sends a probe to hop index k of the path and back, the
-// primitive behind SCMP traceroute.
+// primitive behind SCMP traceroute. It walks a prefix of the whole path's
+// route, so probing every hop in turn resolves the path once.
 func (n *Network) ProbePartial(p *pathmgr.Path, k int, payloadBytes int, offset time.Duration) (ProbeResult, error) {
 	if k < 0 || k >= len(p.Hops) {
 		return ProbeResult{}, fmt.Errorf("simnet: hop index %d out of range [0,%d)", k, len(p.Hops))
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.probeLocked(p.Hops[:k+1], payloadBytes, offset), nil
+	r := n.routeLocked(p.Hops)
+	return n.probeLocked(r.fwd[:k+1], r.rev[len(p.Hops)-1-k:], payloadBytes, offset), nil
 }
 
-func (n *Network) probeLocked(hops []pathmgr.Hop, payloadBytes int, offset time.Duration) ProbeResult {
+// probeLocked sends a probe out along fwd and back along rev, the same
+// hops in reverse. Callers hold n.mu.
+func (n *Network) probeLocked(fwd, rev []routeHop, payloadBytes int, offset time.Duration) ProbeResult {
 	wire := payloadBytes + n.opts.HeaderBytes
 	start := n.engine.Now() + offset
-	fwd := n.traverseLocked(hops, wire, start)
-	if fwd.dropped {
-		return ProbeResult{Dropped: true, DropHop: fwd.dropHop}
+	out := n.traverseLocked(fwd, wire, start)
+	if out.dropped {
+		return ProbeResult{Dropped: true, DropHop: out.dropHop}
 	}
-	back := n.traverseLocked(reverseHops(hops), wire, start+fwd.delay)
+	back := n.traverseLocked(rev, wire, start+out.delay)
 	if back.dropped {
-		return ProbeResult{Dropped: true, DropHop: len(hops) + back.dropHop}
+		return ProbeResult{Dropped: true, DropHop: len(fwd) + back.dropHop}
 	}
-	return ProbeResult{RTT: fwd.delay + back.delay}
+	return ProbeResult{RTT: out.delay + back.delay}
 }
 
 // Schedule exposes the event engine for protocol layers that pace their

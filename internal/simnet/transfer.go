@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/upin/scionpath/internal/addr"
 	"github.com/upin/scionpath/internal/pathmgr"
-	"github.com/upin/scionpath/internal/topology"
 )
 
 // TransferSpec describes a chunked download split across a path set: the
@@ -61,31 +59,18 @@ type TransferResult struct {
 	Stalled bool
 }
 
-// flowState is one path's puller: its directed hop links (fixed for the
-// whole transfer) and its position in the chunk it is currently fetching.
+// flowState is one path's puller: its route in download direction (fixed
+// for the whole transfer) and its position in the chunk it is currently
+// fetching.
 type flowState struct {
-	hops   []pathmgr.Hop
-	links  []flowLink
+	steps  []routeHop
 	chunk  int64 // bytes remaining in the current chunk (0 = needs a chunk)
 	bytes  int64
 	chunks int
 }
 
-type flowLink struct {
-	a, b     addr.IA
-	key      dirLink
-	capacity float64
-	link     *topology.Link
-	fwd      bool
-}
-
-// dirLink identifies a directed link for fair-share accounting: two flows
-// crossing the same physical link in the same direction split its
-// residual capacity.
-type dirLink struct {
-	l   *topology.Link
-	fwd bool
-}
+// links returns the flow's steps that leave on a link: all but the last.
+func (f *flowState) links() []routeHop { return f.steps[:len(f.steps)-1] }
 
 // SplitTransfer fetches spec.TotalBytes by pulling fixed-size chunks from
 // a shared pool over every path in parallel, advancing the simulated
@@ -119,17 +104,11 @@ func (n *Network) SplitTransfer(paths []*pathmgr.Path, spec TransferSpec) (Trans
 		if len(p.Hops) < 2 {
 			return TransferResult{}, fmt.Errorf("simnet: path %d has %d hops, need at least 2", i, len(p.Hops))
 		}
-		hops := reverseHops(p.Hops)
-		f := &flowState{hops: hops}
-		for h := 0; h+1 < len(hops); h++ {
-			l, fwd, capacity, err := n.linkDir(hops[h].IA, hops[h+1].IA)
-			if err != nil {
-				return TransferResult{}, err
+		f := &flowState{steps: n.resolve(p.Hops).rev}
+		for h := range f.links() {
+			if f.steps[h].link == nil {
+				return TransferResult{}, f.steps[h].linkErr()
 			}
-			f.links = append(f.links, flowLink{
-				a: hops[h].IA, b: hops[h+1].IA,
-				key: dirLink{l, fwd}, capacity: capacity, link: l, fwd: fwd,
-			})
 		}
 		flows[i] = f
 	}
@@ -148,9 +127,11 @@ func (n *Network) SplitTransfer(paths []*pathmgr.Path, spec TransferSpec) (Trans
 	for ; steps < maxSteps; steps++ {
 		now := start + time.Duration(steps)*fluidStep
 
-		// Assign chunks to idle flows while the pool lasts.
+		// Assign chunks to idle flows while the pool lasts. shares counts
+		// the live flows per directed link: flows crossing one link in one
+		// direction split its residual capacity.
 		live := 0
-		shares := make(map[dirLink]int)
+		shares := make(map[dirKey]int)
 		for _, f := range flows {
 			if f.chunk == 0 && remaining > 0 {
 				f.chunk = min(spec.ChunkBytes, remaining)
@@ -159,8 +140,8 @@ func (n *Network) SplitTransfer(paths []*pathmgr.Path, spec TransferSpec) (Trans
 			}
 			if f.chunk > 0 {
 				live++
-				for _, fl := range f.links {
-					shares[fl.key]++
+				for _, h := range f.links() {
+					shares[dirKey{h.link, h.fwd}]++
 				}
 			}
 		}
@@ -177,18 +158,20 @@ func (n *Network) SplitTransfer(paths []*pathmgr.Path, spec TransferSpec) (Trans
 			rate := senderCapBps
 			goodFrac := 1.0
 			down := false
-			for _, fl := range f.links {
-				if n.linkDownLocked(fl.a, fl.b, now) {
+			links := f.links()
+			for j := range links {
+				h := &links[j]
+				if n.linkDownLocked(h.ia, h.next, now) {
 					down = true
 					break
 				}
-				u := n.utilizationLocked(fl.link, fl.fwd, now)
-				usableWire := fl.capacity * (1 - u) / float64(shares[fl.key])
+				u := n.utilLocked(h, now)
+				usableWire := h.capacity * (1 - u) / float64(shares[dirKey{h.link, h.fwd}])
 				if r := usableWire / wirePerPayload; r < rate {
 					rate = r
 				}
-				if fl.link.BaseLoss > 0 {
-					goodFrac *= 1 - fl.link.BaseLoss
+				if h.link.BaseLoss > 0 {
+					goodFrac *= 1 - h.link.BaseLoss
 				}
 			}
 			if down {
@@ -200,8 +183,8 @@ func (n *Network) SplitTransfer(paths []*pathmgr.Path, spec TransferSpec) (Trans
 				if !ep.Active(now) {
 					continue
 				}
-				for _, h := range f.hops {
-					if ep.IA == h.IA {
+				for _, h := range f.steps {
+					if ep.IA == h.ia {
 						goodFrac *= 1 - ep.DropProb
 						break
 					}

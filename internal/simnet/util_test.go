@@ -4,22 +4,30 @@ import (
 	"testing"
 	"time"
 
+	"github.com/upin/scionpath/internal/pathmgr"
 	"github.com/upin/scionpath/internal/topology"
 )
+
+// accessLink resolves the access link between ETHZ-AP and MY_AS: its
+// steps in both travel directions.
+func accessLink(net *Network) (up, down *routeHop) {
+	r := net.resolve([]pathmgr.Hop{{IA: topology.ETHZAP}, {IA: topology.MyAS}})
+	return &r.fwd[0], &r.rev[0]
+}
 
 // The cross-traffic utilisation process must stay within its clamp bounds
 // and revert toward the configured mean over long horizons.
 func TestUtilizationProcessBoundsAndReversion(t *testing.T) {
 	topo := topology.DefaultWorld()
 	net := New(topo, Options{Seed: 90, UtilMean: 0.30, UtilSigma: 0.08})
-	l := topo.LinkBetween(topology.ETHZAP, topology.MyAS)
-	if l == nil {
+	h, _ := accessLink(net)
+	if h.link == nil {
 		t.Fatal("access link missing")
 	}
 	var sum float64
 	n := 0
 	for i := 0; i < 2000; i++ {
-		u := net.utilizationLocked(l, true, time.Duration(i)*time.Second)
+		u := net.utilLocked(h, time.Duration(i)*time.Second)
 		if u < 0.02 || u > 0.75 {
 			t.Fatalf("utilisation %v escaped the clamp", u)
 		}
@@ -36,11 +44,14 @@ func TestUtilizationProcessBoundsAndReversion(t *testing.T) {
 func TestUtilizationPerDirection(t *testing.T) {
 	topo := topology.DefaultWorld()
 	net := New(topo, Options{Seed: 91})
-	l := topo.LinkBetween(topology.ETHZAP, topology.MyAS)
+	up, down := accessLink(net)
+	if up.fwd == down.fwd {
+		t.Fatal("the two steps cross the link in the same direction")
+	}
 	same := 0
 	for i := 0; i < 50; i++ {
 		at := time.Duration(i) * 10 * time.Second
-		if net.utilizationLocked(l, true, at) == net.utilizationLocked(l, false, at) {
+		if net.utilLocked(up, at) == net.utilLocked(down, at) {
 			same++
 		}
 	}
@@ -54,10 +65,11 @@ func TestUtilizationDeterministic(t *testing.T) {
 	topo := topology.DefaultWorld()
 	a := New(topo, Options{Seed: 92})
 	b := New(topo, Options{Seed: 92})
-	l := topo.LinkBetween(topology.ETHZAP, topology.MyAS)
+	ha, _ := accessLink(a)
+	hb, _ := accessLink(b)
 	for i := 0; i < 100; i++ {
 		at := time.Duration(i) * time.Second
-		if a.utilizationLocked(l, true, at) != b.utilizationLocked(l, true, at) {
+		if a.utilLocked(ha, at) != b.utilLocked(hb, at) {
 			t.Fatal("utilisation differs across equal seeds")
 		}
 	}

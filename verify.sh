@@ -126,6 +126,12 @@ echo "== tier 2: path-discovery benchmark smoke (-benchtime 1x)"
 # changed, recorded in BENCH_docdb.json, see docs/CAMPAIGN.md).
 go test -run '^$' -bench='PathDisc|CollectPaths(Repeat|OneChanged)' -benchtime=1x . >/dev/null
 
+echo "== tier 2: campaign cell benchmark smoke (-benchtime 1x)"
+# Keeps BenchmarkCell (one world-B cell split into ping, bwtest-64,
+# bwtest-MTU and store; the BENCH_simnet.json trajectory, see
+# docs/CAMPAIGN.md "What a cell costs") runnable.
+go test -run '^$' -bench='^BenchmarkCell$' -benchtime=1x ./internal/measure >/dev/null
+
 echo "== tier 2: parallel campaign smoke (testsuite --workers 4)"
 go run ./cmd/testsuite 2 --servers 1,2,3 --workers 4 --no-bandwidth \
 	--ping-count 5 --ping-interval 1ms >/dev/null
